@@ -22,7 +22,6 @@ from .labels import (
     interpolate_label,
     lungmix_loss,
     mixup_loss,
-    powerset_category,
     unify_or,
 )
 from .masks import MixMask, MixParams, combine_masks, loudness_mask, random_mask, sample_lambda
@@ -32,12 +31,11 @@ from .mixing import (
     MixResult,
     Provenance,
     apply_mix_mask,
-    cutmix,
     lungmix,
     lungmix_trace,
     mix,
     patchmix,
-    shift_roll,
+    shift_roll_pair,
     vanilla_mixup,
 )
 from .pipeline import (

@@ -14,8 +14,8 @@ from .dataset import RecordManifest, export_augmented, pair_records, resolve_aud
 from .errors import InvalidConfig
 from .labels import FOUR_CLASS, LabelSchema, LabelVector
 from .masks import MixParams
-from .mixing import MixRequest, MixResult, mix, patchmix, shift_roll_pair
-from .pipeline import PipelineConfig, Waveform, preprocess, resample
+from .mixing import MixRequest, MixResult, mix, shift_roll_pair
+from .pipeline import PipelineConfig, preprocess, resample
 from .rng import derive_rng, derive_seed
 
 
@@ -61,25 +61,12 @@ def _mix_one(
         semantics=plan.semantics,
     )
 
+    rolled = offset = None
     if plan.strategy == "patchmix":
-        spec_a = preprocess(audio_a, pipeline_cfg, derive_rng(seed, "prep", "a"))[1]
-        spec_b = preprocess(audio_b, pipeline_cfg, derive_rng(seed, "prep", "b"))[1]
-        result = patchmix(
-            spec_a,
-            spec_b,
-            params,
-            _label_of(rec_a, schema),
-            _label_of(rec_b, schema),
-            interpolation=plan.interpolation,
-            id_a=rec_a.record_id,
-            id_b=rec_b.record_id,
-        )
-        return result
-
-    rolled = None
-    offset = None
-    # rolling diversifies the lungmix pair; the plain baselines stay unrolled
-    if plan.apply_roll and plan.strategy == "lungmix":
+        audio_a = preprocess(audio_a, pipeline_cfg, derive_rng(seed, "prep", "a"))[1]
+        audio_b = preprocess(audio_b, pipeline_cfg, derive_rng(seed, "prep", "b"))[1]
+    elif plan.apply_roll and plan.strategy == "lungmix":
+        # rolling diversifies the lungmix pair; the plain baselines stay unrolled
         audio_a, audio_b, rolled, offset = shift_roll_pair(
             audio_a, audio_b, derive_rng(seed, "roll")
         )

@@ -18,10 +18,10 @@ from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_
 from .augment import AugmentPlan, augment_corpus
 from .dataset import align_records, load_label_maps, load_manifest
 from .errors import InvalidConfig, LungmixError
-from .labels import FOUR_CLASS
-from .masks import MixParams
+from .labels import FOUR_CLASS, MODES
+from .masks import SEMANTICS, MixParams
 from .metrics import score
-from .mixing import MixRequest, lungmix_trace
+from .mixing import STRATEGIES, MixRequest, lungmix_trace
 from .pipeline import PipelineConfig, preprocess
 from .synth import make_corpus
 from .rng import derive_rng
@@ -227,15 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", parents=[common], help="mix pairs from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strategy", choices=["lungmix", "mixup", "cutmix", "patchmix"])
-    p.add_argument("--mode", choices=["linear", "nonlinear", "combined", "preserve"])
+    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--lam", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--pairs", type=int)
     p.add_argument("--pairing", choices=["uniform", "cross-class"])
     p.add_argument("--density", type=float)
-    p.add_argument("--semantics", choices=["loudness_precedence", "max"])
+    p.add_argument("--semantics", choices=SEMANTICS)
     p.add_argument("--workers", type=int)
     p.add_argument("--no-roll", action="store_true", help="skip the pre-mix shift/roll")
     p.add_argument("--label-maps", help="JSON file overriding the shipped label maps")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--semantics", choices=["loudness_precedence", "max"], default="loudness_precedence")
+    p.add_argument("--semantics", choices=SEMANTICS, default="loudness_precedence")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_inspect_mask)
 

@@ -16,13 +16,13 @@ import numpy as np
 
 from .audio_io import write_spectrogram, write_wav
 from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel
+from .labels import FOUR_CLASS
 from .pipeline import Spectrogram, Waveform
 
 log = logging.getLogger(__name__)
 
 DATASETS = ("icbhi", "spr", "hf", "synthetic")
 SPLITS = ("train", "test")
-UNIFIED = ("normal", "crackle", "wheeze", "both")
 
 
 @dataclass
@@ -46,7 +46,7 @@ class RecordManifest:
             raise InvalidConfig(f"unknown dataset {self.dataset!r}")
         if self.split not in SPLITS:
             raise InvalidConfig(f"unknown split {self.split!r}")
-        if self.label_unified is not None and self.label_unified not in UNIFIED:
+        if self.label_unified is not None and self.label_unified not in FOUR_CLASS.categories():
             raise InvalidConfig(f"unknown unified label {self.label_unified!r}")
         if self.segment is not None:
             start, end = self.segment
@@ -91,7 +91,7 @@ def load_label_maps_data(raw: dict) -> dict[str, dict[str, str]]:
             raise InvalidConfig(f"label map for unknown dataset {dataset!r}")
         clean = {}
         for raw_label, unified in table.items():
-            if unified not in UNIFIED:
+            if unified not in FOUR_CLASS.categories():
                 raise InvalidConfig(
                     f"label map {dataset}: {raw_label!r} -> unknown class {unified!r}"
                 )

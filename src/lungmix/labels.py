@@ -121,13 +121,10 @@ class LossWeights:
 
     lambda1: float = 1.0
     lambda2: float | None = None
-    mode: str = "combined"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidConfig(f"unknown interpolation mode {self.mode!r}")
-        if self.mode == "combined" and self.lambda1 != 1.0:
-            raise InvalidConfig("lambda1 is fixed to 1 in combined mode")
+        if self.lambda1 != 1.0:
+            raise InvalidConfig("lambda1 is fixed to 1")
 
 
 def _check_schema(y_a: LabelVector, y_b: LabelVector) -> None:
@@ -139,11 +136,6 @@ def unify_or(y_a: LabelVector, y_b: LabelVector) -> LabelVector:
     """Bitwise OR of the two label bitsets."""
     _check_schema(y_a, y_b)
     return LabelVector(y_a.bits | y_b.bits, y_a.schema)
-
-
-def powerset_category(y: LabelVector) -> str:
-    """Category name of a bitset under the label-powerset mapping."""
-    return y.name
 
 
 def interpolate_label(
@@ -201,8 +193,6 @@ def lungmix_loss(
     plain-number ratio CE_term / mixup_term, making both contributions
     numerically equal; a zero mixup term contributes nothing.
     """
-    if weights.lambda1 != 1.0:
-        raise InvalidConfig("lambda1 is fixed to 1")
     ce_term = cross_entropy(logits, unify_or(y_a, y_b))
     mix_term = mixup_loss(logits, y_a, y_b, lam)
     if weights.lambda2 is not None:

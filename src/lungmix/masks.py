@@ -28,8 +28,6 @@ class MixParams:
     seed: int = 0
     random_density: float = 0.5
     semantics: str = "loudness_precedence"
-    pad_mode: str = "noise"
-    pad_eps: float = 1e-4
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -40,8 +38,6 @@ class MixParams:
             raise InvalidConfig(f"random_density must lie in [0, 1], got {self.random_density}")
         if self.semantics not in SEMANTICS:
             raise InvalidConfig(f"unknown mask semantics {self.semantics!r}")
-        if self.pad_mode not in ("zeros", "noise"):
-            raise InvalidConfig(f"unknown pad_mode {self.pad_mode!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
+from .labels import FOUR_CLASS
 
-CLASSES = ("normal", "crackle", "wheeze", "both")
-ABNORMAL = ("crackle", "wheeze", "both")
+NORMAL = FOUR_CLASS.normal_name
 
 
 def round2(x: float) -> float:
@@ -45,54 +45,49 @@ class MetricsReport:
 
     def format_table(self) -> str:
         lines = [f"{'class':>8} {'correct':>8} {'total':>8}"]
-        for cls in CLASSES:
+        for cls in FOUR_CLASS.categories():
             lines.append(f"{cls:>8} {self.correct[cls]:>8} {self.totals[cls]:>8}")
         fmt = lambda v: "   n/a" if v is None else f"{round2(v):6.2f}"
         lines.append(f"Se={fmt(self.se)}  Sp={fmt(self.sp)}  Sc={fmt(self.sc)}")
         return "\n".join(lines)
 
 
-def _check_label(label: str) -> str:
-    if label not in CLASSES:
-        raise InvalidConfig(f"unknown class {label!r}")
-    return label
-
-
-def score(pairs) -> MetricsReport:
-    """Aggregate (true, predicted) label pairs into the evaluation report."""
-    correct = {cls: 0 for cls in CLASSES}
-    totals = {cls: 0 for cls in CLASSES}
-    for true, pred in pairs:
-        _check_label(true)
-        _check_label(pred)
-        totals[true] += 1
-        if true == pred:
-            correct[true] += 1
-
-    n_abnormal = sum(totals[c] for c in ABNORMAL)
-    c_abnormal = sum(correct[c] for c in ABNORMAL)
+def _report(correct: dict[str, int], totals: dict[str, int]) -> MetricsReport:
+    """Se/Sp/Sc from per-class correct and ground-truth counts."""
+    n_abnormal = sum(n for cls, n in totals.items() if cls != NORMAL)
+    c_abnormal = sum(n for cls, n in correct.items() if cls != NORMAL)
     se = 100.0 * c_abnormal / n_abnormal if n_abnormal else None
-    sp = 100.0 * correct["normal"] / totals["normal"] if totals["normal"] else None
+    sp = 100.0 * correct[NORMAL] / totals[NORMAL] if totals[NORMAL] else None
     sc = (se + sp) / 2.0 if se is not None and sp is not None else None
     return MetricsReport(correct=correct, totals=totals, se=se, sp=sp, sc=sc)
 
 
 def confusion(pairs) -> np.ndarray:
     """4x4 count matrix; rows are true classes, columns predictions."""
-    index = {cls: i for i, cls in enumerate(CLASSES)}
-    matrix = np.zeros((4, 4), dtype=np.int64)
+    classes = FOUR_CLASS.categories()
+    index = {cls: i for i, cls in enumerate(classes)}
+    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
     for true, pred in pairs:
-        matrix[index[_check_label(true)], index[_check_label(pred)]] += 1
+        for label in (true, pred):
+            if label not in classes:
+                raise InvalidConfig(f"unknown class {label!r}")
+        matrix[index[true], index[pred]] += 1
     return matrix
+
+
+def score(pairs) -> MetricsReport:
+    """Aggregate (true, predicted) label pairs into the evaluation report."""
+    matrix = confusion(pairs)
+    classes = FOUR_CLASS.categories()
+    return _report(
+        {cls: int(matrix[i, i]) for i, cls in enumerate(classes)},
+        {cls: int(matrix[i].sum()) for i, cls in enumerate(classes)},
+    )
 
 
 def merge_reports(a: MetricsReport, b: MetricsReport) -> MetricsReport:
     """Add disjoint partial counts and recompute the rates from the sums."""
-    correct = {cls: a.correct[cls] + b.correct[cls] for cls in CLASSES}
-    totals = {cls: a.totals[cls] + b.totals[cls] for cls in CLASSES}
-    n_abnormal = sum(totals[c] for c in ABNORMAL)
-    c_abnormal = sum(correct[c] for c in ABNORMAL)
-    se = 100.0 * c_abnormal / n_abnormal if n_abnormal else None
-    sp = 100.0 * correct["normal"] / totals["normal"] if totals["normal"] else None
-    sc = (se + sp) / 2.0 if se is not None and sp is not None else None
-    return MetricsReport(correct=correct, totals=totals, se=se, sp=sp, sc=sc)
+    return _report(
+        {cls: a.correct[cls] + b.correct[cls] for cls in a.correct},
+        {cls: a.totals[cls] + b.totals[cls] for cls in a.totals},
+    )

@@ -1,12 +1,15 @@
 """Waveform and spectrogram mixing strategies.
 
-`lungmix` blends two waveforms through the three-valued mask built from their
-loudness outliers and a Bernoulli mask; `vanilla_mixup`, `cutmix`, and
-`patchmix` are the reference baselines. All strategies are pure functions of
-the request, so identical (sources, params) regenerate bit-identical output.
+Every strategy is a kernel `(a, b, lam, rng, params) -> (audio, lam_eff)`:
+`lungmix_kernel` blends two waveforms through the three-valued mask built
+from their loudness outliers and a Bernoulli mask; `mixup_kernel`,
+`cutmix_kernel` and `patchmix` are the reference baselines. `mix` is the one
+entry point: it draws lambda, runs the kernel, resolves the label under the
+request's interpolation mode and records provenance. Everything is a pure
+function of the request, so identical requests regenerate bit-identical output.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -17,13 +20,19 @@ from .pipeline import Spectrogram, Waveform, pad_to_length
 from .rng import derive_rng
 
 STRATEGIES = ("lungmix", "mixup", "cutmix", "patchmix")
+PATCH_SIZE = 16  # side of the square spectrogram patches patchmix swaps
 
 
 @dataclass(frozen=True, eq=False)
 class MixRequest:
-    audio_a: Waveform
+    """Two labelled sources plus how to mix them.
+
+    patchmix mixes spectrograms; every other strategy mixes waveforms.
+    """
+
+    audio_a: Waveform | Spectrogram
     label_a: LabelVector
-    audio_b: Waveform
+    audio_b: Waveform | Spectrogram
     label_b: LabelVector
     params: MixParams
     strategy: str = "lungmix"
@@ -34,7 +43,14 @@ class MixRequest:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidConfig(f"unknown strategy {self.strategy!r}")
-        if self.audio_a.sample_rate != self.audio_b.sample_rate:
+        kind = Spectrogram if self.strategy == "patchmix" else Waveform
+        for source in (self.audio_a, self.audio_b):
+            if not isinstance(source, kind):
+                raise InvalidConfig(
+                    f"strategy {self.strategy!r} mixes {kind.__name__} sources, "
+                    f"got {type(source).__name__}"
+                )
+        if kind is Waveform and self.audio_a.sample_rate != self.audio_b.sample_rate:
             raise RateMismatch(
                 f"sources differ in rate: {self.audio_a.sample_rate} vs "
                 f"{self.audio_b.sample_rate} Hz"
@@ -62,7 +78,7 @@ class Provenance:
 
 @dataclass(frozen=True, eq=False)
 class MixResult:
-    audio: "Waveform | Spectrogram"
+    audio: Waveform | Spectrogram
     label: LabelVector
     soft_target: SoftTriple | None
     provenance: Provenance
@@ -82,20 +98,13 @@ class LungmixTrace:
     mixed: Waveform
 
 
-def shift_roll(w: Waveform, rng: np.random.Generator) -> Waveform:
-    """Circular rotation by a uniform offset in [0, len)."""
-    if len(w) == 0:
-        raise EmptyAudio("cannot roll empty waveform")
-    offset = int(rng.integers(0, len(w)))
-    return Waveform(np.roll(w.samples, offset), w.sample_rate)
-
-
 def shift_roll_pair(
     a: Waveform, b: Waveform, rng: np.random.Generator
 ) -> tuple[Waveform, Waveform, str, int]:
     """Roll one of the two waveforms, chosen by a seeded coin flip.
 
-    Returns the pair plus which side was rolled and by how much.
+    The roll is circular, by a uniform offset in [0, len). Returns the pair
+    plus which side was rolled and by how much.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptyAudio("cannot roll empty waveform")
@@ -127,207 +136,157 @@ def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
     return Waveform(out, a.sample_rate)
 
 
-def _resolve_labels(
-    y_a: LabelVector, y_b: LabelVector, lam: float, mode: str
-) -> tuple[LabelVector, SoftTriple | None]:
-    """Hard manifest label plus optional soft target for a mixed record.
-
-    Linear mode has no merged hard label; the manifest then records the label
-    of the dominant-weight source.
-    """
-    interp = interpolate_label(y_a, y_b, lam, mode)
-    if interp.hard is not None:
-        return interp.hard, interp.soft
-    return (y_a if lam >= 0.5 else y_b), interp.soft
-
-
-def _align_sources(
-    req: MixRequest, rng: np.random.Generator
-) -> tuple[Waveform, Waveform, np.ndarray, np.ndarray]:
-    """Pad the shorter source to max length; loudness statistics are taken on
-    the original samples and padded positions never count as loud."""
-    a, b = req.audio_a, req.audio_b
+def _pad_pair(
+    a: Waveform, b: Waveform, rng: np.random.Generator
+) -> tuple[Waveform, Waveform]:
+    """Noise-pad the shorter waveform to the longer one's length (a draws first)."""
     n = max(len(a), len(b))
-    mask_a = loudness_mask(a)
-    mask_b = loudness_mask(b)
-    pad = req.params.pad_mode
-    eps = req.params.pad_eps
-    a_pad = pad_to_length(a, n, pad_mode=pad, pad_eps=eps, rng=rng)
-    b_pad = pad_to_length(b, n, pad_mode=pad, pad_eps=eps, rng=rng)
-    mask_a = np.concatenate([mask_a, np.zeros(n - mask_a.size, dtype=bool)])
-    mask_b = np.concatenate([mask_b, np.zeros(n - mask_b.size, dtype=bool)])
-    return a_pad, b_pad, mask_a, mask_b
+    return (
+        pad_to_length(a, n, pad_mode="noise", rng=rng),
+        pad_to_length(b, n, pad_mode="noise", rng=rng),
+    )
 
 
-def _draw_lambda(params: MixParams, rng: np.random.Generator) -> float:
-    if params.lam is not None:
-        return params.lam
-    return sample_lambda(params.alpha, rng)
+def _lungmix_masks(
+    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
+) -> LungmixTrace:
+    """The lungmix kernel with every intermediate mask kept.
 
-
-def lungmix_trace(req: MixRequest) -> LungmixTrace:
-    """Run the lungmix strategy and keep every intermediate mask.
-
-    Stream order per request seed: lambda, padding noise (a then b), random
-    mask. Changing this order changes outputs, so it is part of the contract.
+    Loudness statistics are taken on the unpadded sources, and padded
+    positions never count as loud.
     """
-    if req.strategy != "lungmix":
-        raise InvalidConfig(f"expected strategy 'lungmix', got {req.strategy!r}")
-    rng = derive_rng(req.params.seed)
-    lam = _draw_lambda(req.params, rng)
-    a, b, mask_a, mask_b = _align_sources(req, rng)
-    rand = random_mask(len(a), req.params.random_density, rng)
-    mask = combine_masks(mask_a, mask_b, rand, lam, req.params.semantics)
+    loud_a, loud_b = loudness_mask(a), loudness_mask(b)
+    a, b = _pad_pair(a, b, rng)
+    n = len(a)
+    mask_a = np.concatenate([loud_a, np.zeros(n - loud_a.size, dtype=bool)])
+    mask_b = np.concatenate([loud_b, np.zeros(n - loud_b.size, dtype=bool)])
+    rand = random_mask(n, params.random_density, rng)
+    mask = combine_masks(mask_a, mask_b, rand, lam, params.semantics)
     mixed = apply_mix_mask(a, b, mask)
     return LungmixTrace(a, b, mask_a, mask_b, rand, mask, lam, mixed)
 
 
-def lungmix(req: MixRequest) -> MixResult:
-    """Mask-based waveform mix with OR-style label interpolation."""
-    trace = lungmix_trace(req)
-    label, soft = _resolve_labels(req.label_a, req.label_b, trace.lam, req.interpolation)
-    prov = Provenance(
-        source_a=req.id_a,
-        source_b=req.id_b,
-        strategy="lungmix",
-        interpolation=req.interpolation,
-        alpha=req.params.alpha,
-        lam=trace.lam,
-        seed=req.params.seed,
-        semantics=req.params.semantics,
-    )
-    return MixResult(trace.mixed, label, soft, prov)
+def lungmix_kernel(
+    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
+) -> tuple[Waveform, float]:
+    """Mask-based blend: loud events of either source blend, the rest is split
+    between the sources by a Bernoulli mask."""
+    return _lungmix_masks(a, b, lam, rng, params).mixed, lam
 
 
-def vanilla_mixup(req: MixRequest) -> MixResult:
-    """Convex combination of the two waveforms with coefficient lambda."""
-    if req.strategy != "mixup":
-        raise InvalidConfig(f"expected strategy 'mixup', got {req.strategy!r}")
-    rng = derive_rng(req.params.seed)
-    lam = _draw_lambda(req.params, rng)
-    a, b, _, _ = _align_sources(req, rng)
-    mixed = Waveform(lam * a.samples + (1.0 - lam) * b.samples, a.sample_rate)
-    label, soft = _resolve_labels(req.label_a, req.label_b, lam, "linear")
-    prov = Provenance(
-        source_a=req.id_a,
-        source_b=req.id_b,
-        strategy="mixup",
-        interpolation=req.interpolation,
-        alpha=req.params.alpha,
-        lam=lam,
-        seed=req.params.seed,
-    )
-    return MixResult(mixed, label, soft, prov)
+def mixup_kernel(
+    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
+) -> tuple[Waveform, float]:
+    """Convex combination lam * a + (1 - lam) * b."""
+    a, b = _pad_pair(a, b, rng)
+    return Waveform(lam * a.samples + (1.0 - lam) * b.samples, a.sample_rate), lam
 
 
-def cut_splice(a: Waveform, b: Waveform, lam: float, offset: int) -> Waveform:
-    """Replace a's contiguous segment of round((1 - lam) * len) samples,
-    starting at `offset`, with the corresponding samples of b."""
-    if a.sample_rate != b.sample_rate:
-        raise RateMismatch("cannot splice waveforms with different rates")
-    if len(a) != len(b):
-        raise ShapeMismatch("cut splice needs equal lengths")
-    n = len(a)
-    seg = int(round((1.0 - lam) * n))
-    if not 0 <= offset <= n - seg:
-        raise InvalidConfig(f"offset {offset} leaves no room for a {seg}-sample cut")
-    out = a.samples.copy()
-    out[offset : offset + seg] = b.samples[offset : offset + seg]
-    return Waveform(out, a.sample_rate)
-
-
-def cutmix(req: MixRequest) -> MixResult:
+def cutmix_kernel(
+    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
+) -> tuple[Waveform, float]:
     """Replace one contiguous segment of a with the same segment of b.
 
-    The cut spans round((1 - lambda) * len) samples at a seeded offset; the
-    label coefficient is the exact surviving fraction of a.
+    The cut spans round((1 - lam) * len) samples at a seeded offset; the
+    effective coefficient is the exact surviving fraction of a.
     """
-    if req.strategy != "cutmix":
-        raise InvalidConfig(f"expected strategy 'cutmix', got {req.strategy!r}")
-    rng = derive_rng(req.params.seed)
-    lam = _draw_lambda(req.params, rng)
-    a, b, _, _ = _align_sources(req, rng)
+    a, b = _pad_pair(a, b, rng)
     n = len(a)
     seg = int(round((1.0 - lam) * n))
     offset = int(rng.integers(0, n - seg + 1))
-    out = cut_splice(a, b, lam, offset).samples
-    lam_eff = 1.0 - seg / n
-    label, soft = _resolve_labels(req.label_a, req.label_b, lam_eff, req.interpolation)
-    prov = Provenance(
-        source_a=req.id_a,
-        source_b=req.id_b,
-        strategy="cutmix",
-        interpolation=req.interpolation,
-        alpha=req.params.alpha,
-        lam=lam,
-        seed=req.params.seed,
-    )
-    return MixResult(Waveform(out, a.sample_rate), label, soft, prov)
+    out = a.samples.copy()
+    out[offset : offset + seg] = b.samples[offset : offset + seg]
+    return Waveform(out, a.sample_rate), 1.0 - seg / n
 
 
 def patchmix(
     s_a: Spectrogram,
     s_b: Spectrogram,
+    lam: float,
+    rng: np.random.Generator,
     params: MixParams,
-    label_a: LabelVector,
-    label_b: LabelVector,
-    interpolation: str = "preserve",
-    patch_size: int = 16,
-    id_a: str = "",
-    id_b: str = "",
-) -> MixResult:
-    """Swap a seeded random fraction (1 - lambda) of square spectrogram patches."""
+) -> tuple[Spectrogram, float]:
+    """Swap a seeded random fraction (1 - lam) of square spectrogram patches.
+
+    The effective coefficient is the exact fraction of patches kept from a.
+    """
     if s_a.bins.shape != s_b.bins.shape:
         raise ShapeMismatch(
             f"spectrogram shapes differ: {s_a.bins.shape} vs {s_b.bins.shape}"
         )
     rows, cols = s_a.bins.shape
-    if rows % patch_size or cols % patch_size:
+    if rows % PATCH_SIZE or cols % PATCH_SIZE:
         raise ShapeMismatch(
-            f"shape {s_a.bins.shape} not divisible into {patch_size}x{patch_size} patches"
+            f"shape {s_a.bins.shape} not divisible into {PATCH_SIZE}x{PATCH_SIZE} patches"
         )
-    rng = derive_rng(params.seed)
-    lam = _draw_lambda(params, rng)
-    grid_r, grid_c = rows // patch_size, cols // patch_size
-    n_patches = grid_r * grid_c
+    grid_c = cols // PATCH_SIZE
+    n_patches = (rows // PATCH_SIZE) * grid_c
     n_replace = int(round((1.0 - lam) * n_patches))
     chosen = rng.choice(n_patches, size=n_replace, replace=False)
     out = s_a.bins.copy()
     for idx in chosen:
-        r = (idx // grid_c) * patch_size
-        c = (idx % grid_c) * patch_size
-        out[r : r + patch_size, c : c + patch_size] = s_b.bins[
-            r : r + patch_size, c : c + patch_size
+        r = (idx // grid_c) * PATCH_SIZE
+        c = (idx % grid_c) * PATCH_SIZE
+        out[r : r + PATCH_SIZE, c : c + PATCH_SIZE] = s_b.bins[
+            r : r + PATCH_SIZE, c : c + PATCH_SIZE
         ]
-    mixed = Spectrogram(
-        out,
-        window_ms=s_a.window_ms,
-        hop_ms=s_a.hop_ms,
-        mel_low_hz=s_a.mel_low_hz,
-        mel_high_hz=s_a.mel_high_hz,
-    )
-    lam_eff = 1.0 - n_replace / n_patches
-    label, soft = _resolve_labels(label_a, label_b, lam_eff, interpolation)
-    prov = Provenance(
-        source_a=id_a,
-        source_b=id_b,
-        strategy="patchmix",
-        interpolation=interpolation,
-        alpha=params.alpha,
-        lam=lam,
-        seed=params.seed,
-    )
-    return MixResult(mixed, label, soft, prov)
+    return replace(s_a, bins=out), 1.0 - n_replace / n_patches
+
+
+def _draw_lambda(req: MixRequest) -> tuple[np.random.Generator, float]:
+    """The request's random stream, with lambda already drawn from it.
+
+    Stream order per request seed: lambda, padding noise (a then b), then the
+    kernel's own draws. Changing this order changes outputs, so it is part of
+    the contract.
+    """
+    rng = derive_rng(req.params.seed)
+    if req.params.lam is not None:
+        return rng, req.params.lam
+    return rng, sample_lambda(req.params.alpha, rng)
 
 
 def mix(req: MixRequest) -> MixResult:
-    """Dispatch a waveform mixing request to its strategy."""
-    if req.strategy == "lungmix":
-        return lungmix(req)
-    if req.strategy == "mixup":
-        return vanilla_mixup(req)
-    if req.strategy == "cutmix":
-        return cutmix(req)
-    raise InvalidConfig(
-        f"strategy {req.strategy!r} does not operate on raw waveform requests"
+    """Mix two labelled sources with the request's strategy.
+
+    The label is resolved under `req.interpolation` with the kernel's
+    effective coefficient. Linear mode has no merged hard label; the manifest
+    then records the label of the dominant-weight source.
+    """
+    # looked up per call, so wrappers installed on the module are honoured
+    kernel = {
+        "lungmix": lungmix_kernel,
+        "mixup": mixup_kernel,
+        "cutmix": cutmix_kernel,
+        "patchmix": patchmix,
+    }[req.strategy]
+    rng, lam = _draw_lambda(req)
+    audio, lam_eff = kernel(req.audio_a, req.audio_b, lam, rng, req.params)
+    interp = interpolate_label(req.label_a, req.label_b, lam_eff, req.interpolation)
+    label = interp.hard
+    if label is None:
+        label = req.label_a if lam_eff >= 0.5 else req.label_b
+    prov = Provenance(
+        source_a=req.id_a,
+        source_b=req.id_b,
+        strategy=req.strategy,
+        interpolation=req.interpolation,
+        alpha=req.params.alpha,
+        lam=lam,
+        seed=req.params.seed,
+        semantics=req.params.semantics if req.strategy == "lungmix" else None,
     )
+    return MixResult(audio, label, interp.soft, prov)
+
+
+# strategy-named entry points: the request's strategy decides what runs
+lungmix = mix
+vanilla_mixup = mix
+
+
+def lungmix_trace(req: MixRequest) -> LungmixTrace:
+    """Run the lungmix kernel on a request and keep every intermediate mask."""
+    if req.strategy != "lungmix":
+        raise InvalidConfig(f"expected strategy 'lungmix', got {req.strategy!r}")
+    rng, lam = _draw_lambda(req)
+    return _lungmix_masks(req.audio_a, req.audio_b, lam, rng, req.params)

@@ -15,10 +15,9 @@ from scipy.signal import butter, sosfiltfilt
 from .audio_io import write_wav
 from .dataset import RecordManifest, save_manifest
 from .errors import InvalidConfig
+from .labels import FOUR_CLASS
 from .pipeline import Waveform
 from .rng import derive_rng, derive_seed
-
-CLASSES = ("normal", "crackle", "wheeze", "both")
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.label not in CLASSES:
+        if self.label not in FOUR_CLASS.categories():
             raise InvalidConfig(f"unknown class {self.label!r}")
         if self.duration_s <= 0 or self.sample_rate <= 0:
             raise InvalidConfig("duration and sample rate must be positive")
@@ -139,7 +138,7 @@ def make_corpus(
     sample_rate: int = 16000,
     n_events: int = 3,
     seed: int = 0,
-    classes=CLASSES,
+    classes=FOUR_CLASS.categories(),
 ) -> Path:
     """Write per_class records of each class plus corpus.jsonl; returns its path."""
     out_dir = Path(out_dir)

@@ -1,0 +1,95 @@
+"""Golden output digests: fixed inputs and seeds must reproduce these bytes.
+
+A digest may change only in a commit whose CHANGES.md entry says why. The
+corpus is small (8 records of 4 s) so the whole file runs in seconds.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lungmix.cli import main
+
+# (strategy, mode) -> sha256 of augmented.jsonl plus every file it lists
+AUGMENT = {
+    ("lungmix", "linear"): "e3e0c402e7b1278bb13ec5258208b3f784a34134d4be5318d7f506e304e2dd6e",
+    ("lungmix", "nonlinear"): "bce3ab42541dd175fc6c9ac7ea28b08eb62b4beb6b8b8f38ae3a180f6b720598",
+    ("lungmix", "combined"): "db2551d743140143674d20b838092fd6a3da97d4fad8c71fb50142deacf2d703",
+    ("lungmix", "preserve"): "5207d820aa3d25db7ede88a8507475d3af66e223929debcf010c05eb29ee5724",
+    ("mixup", "linear"): "30aac982a2d443bdfaa0f92e91c8b6eca2fa96e8495cab1cc107ba85423f4ff0",
+    ("mixup", "nonlinear"): "abaacb83cac5cea130c545e7f6b545dc79960cbd4753b6ec62d018d7bf508250",
+    ("mixup", "combined"): "0764e7037eba832fe6ad68ac29340ff132f6bf1a6e1cf7d577f0385c95628429",
+    ("mixup", "preserve"): "4903dc2bc8bd90b27fef68a93b2da6822e210f0f5f991f80f2c196c164880f82",
+    ("cutmix", "linear"): "8b7c5e352e3130f330909bce83fb8304b095cc829c1dea2bcaf0bad835a6e0be",
+    ("cutmix", "nonlinear"): "a39b8f814156372172771ab808a308bb7af36db96ddb535c08608d00361a1c10",
+    ("cutmix", "combined"): "3d52a9f2af0c1e1e91c7c2a7a703cec6e03bd5ca98fd7a36b0aecf83c3aa10bf",
+    ("cutmix", "preserve"): "ef414c9713843b554eb2f6a6363689bb386088f3dc090b6c49e090f74534aa08",
+    ("patchmix", "linear"): "5e6bf9d37d079695b0bb32d703325b547b31baa3ea1d7cba1b7bfdfb07092825",
+    ("patchmix", "nonlinear"): "39d2d913c5e4545865b570f9bf3aecfa94cf8845c5ee07b8a320ab37c69e9354",
+    ("patchmix", "combined"): "afcda2da9c8b2b02e25ffa2f58ef8dc7eefb3ced1252c2e54f46a438692be3c5",
+    ("patchmix", "preserve"): "b1c690f87fe58a85d691a692ee07e30c63198dce4b03d36f7a6a34cdacca2b3e",
+}
+LUNGMIX_NO_ROLL_MAX = "8d28cb7b7b46e48072168cffb62d977b01fe6e881476f58bab92f55301e9118c"
+INSPECT_MASK_CSV = "ce6017c32bd6305ff5f54f2630701b95ee8bd1a09c2e50e583f504d730ec8a1b"
+PREPROCESS_SPEC = "f382b1b0adc883c202bec153ffe51989ba3b89828617890d8dc959938db76f67"
+
+
+def sha256(*blobs: bytes) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
+
+
+def augment_digest(out) -> str:
+    manifest = (out / "augmented.jsonl").read_bytes()
+    rows = [json.loads(line) for line in manifest.decode().splitlines() if line.strip()]
+    return sha256(manifest, *((out / row["audio_path"]).read_bytes() for row in rows))
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_corpus")
+    rc = main(["synth", "--out", str(out), "--per-class", "2", "--duration", "4", "--seed", "3"])
+    assert rc == 0
+    return out
+
+
+def augment(corpus, out, *flags) -> str:
+    rc = main([
+        "augment", "--manifest", str(corpus / "corpus.jsonl"), "--out", str(out),
+        "--pairs", "4", "--seed", "7", *flags,
+    ])
+    assert rc == 0
+    return augment_digest(out)
+
+
+@pytest.mark.parametrize(("strategy", "mode"), list(AUGMENT))
+def test_augment_digest(corpus, tmp_path, strategy, mode):
+    digest = augment(corpus, tmp_path / "aug", "--strategy", strategy, "--mode", mode)
+    assert digest == AUGMENT[strategy, mode]
+
+
+def test_lungmix_no_roll_max_semantics_digest(corpus, tmp_path):
+    digest = augment(
+        corpus, tmp_path / "aug", "--strategy", "lungmix", "--mode", "nonlinear",
+        "--no-roll", "--semantics", "max",
+    )
+    assert digest == LUNGMIX_NO_ROLL_MAX
+
+
+def test_inspect_mask_csv_digest(corpus, tmp_path):
+    out = tmp_path / "mask.csv"
+    rc = main([
+        "inspect-mask", "--a", str(corpus / "synth-crackle-000.wav"),
+        "--b", str(corpus / "synth-wheeze-001.wav"), "--seed", "5", "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == INSPECT_MASK_CSV
+
+
+def test_preprocess_spec_digest(corpus, tmp_path):
+    rc = main(["preprocess", "--in", str(corpus / "synth-both-000.wav"), "--out", str(tmp_path)])
+    assert rc == 0
+    assert sha256((tmp_path / "synth-both-000.spec").read_bytes()) == PREPROCESS_SPEC

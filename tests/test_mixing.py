@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lungmix.errors import InvalidConfig, RateMismatch, ShapeMismatch
-from lungmix.labels import FOUR_CLASS
+from lungmix.errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch
+from lungmix.labels import FOUR_CLASS, MODES, SoftTriple
 from lungmix.masks import MixMask, MixParams
 from lungmix.mixing import (
+    STRATEGIES,
     MixRequest,
     apply_mix_mask,
-    cut_splice,
-    cutmix,
+    cutmix_kernel,
     lungmix,
     lungmix_trace,
     mix,
-    patchmix,
-    shift_roll,
     shift_roll_pair,
     vanilla_mixup,
 )
@@ -38,7 +36,9 @@ class FixedOffsetRng:
         return self.values.pop(0)
 
 
-def request(a, b, label_a=CRACKLE, label_b=WHEEZE, strategy="lungmix", **params):
+def request(
+    a, b, label_a=CRACKLE, label_b=WHEEZE, strategy="lungmix", interpolation="nonlinear", **params
+):
     return MixRequest(
         audio_a=a,
         label_a=label_a,
@@ -46,7 +46,7 @@ def request(a, b, label_a=CRACKLE, label_b=WHEEZE, strategy="lungmix", **params)
         label_b=label_b,
         params=MixParams(**params),
         strategy=strategy,
-        interpolation=params.pop("interpolation", "nonlinear") if "interpolation" in params else "nonlinear",
+        interpolation=interpolation,
     )
 
 
@@ -54,27 +54,34 @@ def noise_wave(seed, n=4000, rate=16000, amp=0.3):
     return Waveform(np.random.default_rng(seed).uniform(-amp, amp, n), rate)
 
 
+def noise_spec(seed):
+    bins = np.random.default_rng(seed).standard_normal((128, 1024))
+    return Spectrogram(bins, window_ms=25.0, hop_ms=10.0, mel_low_hz=0.0, mel_high_hz=8000.0)
+
+
 class TestShiftRoll:
     def test_zero_offset_identity(self):
         w = Waveform(np.array([1.0, 2.0, 3.0, 4.0]), 16000)
-        out = shift_roll(w, FixedOffsetRng(0))
+        _, out, side, offset = shift_roll_pair(w, w, FixedOffsetRng(0, 0))
+        assert (side, offset) == ("b", 0)
         assert np.array_equal(out.samples, w.samples)
 
     def test_offset_one_definition(self):
         w = Waveform(np.array([1.0, 2.0, 3.0, 4.0]), 16000)
-        out = shift_roll(w, FixedOffsetRng(1))
+        out, _, side, offset = shift_roll_pair(w, w, FixedOffsetRng(1, 1))
+        assert (side, offset) == ("a", 1)
         assert np.array_equal(out.samples, [4.0, 1.0, 2.0, 3.0])
 
     def test_permutation_preserved(self, rng):
         w = Waveform(rng.standard_normal(257), 16000)
-        out = shift_roll(w, np.random.default_rng(5))
-        assert np.array_equal(np.sort(out.samples), np.sort(w.samples))
+        for out in shift_roll_pair(w, w, np.random.default_rng(5))[:2]:
+            assert np.array_equal(np.sort(out.samples), np.sort(w.samples))
 
     def test_empty_waveform_raises(self):
-        from lungmix.errors import EmptyAudio
-
-        with pytest.raises(EmptyAudio):
-            shift_roll(Waveform(np.array([]), 16000), np.random.default_rng(0))
+        empty, w = Waveform(np.array([]), 16000), noise_wave(0)
+        for a, b in ((empty, w), (w, empty)):
+            with pytest.raises(EmptyAudio):
+                shift_roll_pair(a, b, np.random.default_rng(0))
 
     def test_pair_roll_coin_flip_is_seeded(self):
         a, b = noise_wave(1), noise_wave(2)
@@ -189,7 +196,7 @@ class TestLungmix:
     def test_wrong_strategy_raises(self):
         a, b = noise_wave(36), noise_wave(37)
         with pytest.raises(InvalidConfig):
-            lungmix(request(a, b, strategy="mixup"))
+            lungmix_trace(request(a, b, strategy="mixup"))
 
 
 class TestVanillaMixup:
@@ -214,7 +221,7 @@ class TestVanillaMixup:
 
     def test_soft_target_present(self):
         a, b = noise_wave(42), noise_wave(43)
-        res = vanilla_mixup(request(a, b, strategy="mixup", lam=0.25))
+        res = vanilla_mixup(request(a, b, strategy="mixup", interpolation="linear", lam=0.25))
         assert res.soft_target is not None
         assert res.soft_target.lam == 0.25
         assert res.label == WHEEZE  # dominant-weight source
@@ -223,23 +230,24 @@ class TestVanillaMixup:
 class TestCutmix:
     def test_lambda_one_keeps_a(self):
         a, b = noise_wave(44), noise_wave(45)
-        res = cutmix(request(a, b, strategy="cutmix", lam=1.0))
+        res = mix(request(a, b, strategy="cutmix", lam=1.0))
         assert np.array_equal(res.audio.samples, a.samples)
 
     def test_lambda_zero_takes_b(self):
         a, b = noise_wave(46), noise_wave(47)
-        res = cutmix(request(a, b, strategy="cutmix", lam=0.0))
+        res = mix(request(a, b, strategy="cutmix", lam=0.0))
         assert np.array_equal(res.audio.samples, b.samples)
 
     def test_definitional_cut(self):
         a = Waveform(np.arange(8, dtype=float), 16000)
         b = Waveform(np.arange(8, dtype=float) + 100.0, 16000)
-        out = cut_splice(a, b, lam=0.75, offset=2)
+        out, lam_eff = cutmix_kernel(a, b, 0.75, FixedOffsetRng(2), MixParams())
         assert np.array_equal(out.samples, [0, 1, 102, 103, 4, 5, 6, 7])
+        assert lam_eff == 0.75
 
     def test_samples_verbatim_from_inputs(self):
         a, b = noise_wave(48), noise_wave(49)
-        res = cutmix(request(a, b, strategy="cutmix", seed=50))
+        res = mix(request(a, b, strategy="cutmix", seed=50))
         from_a = res.audio.samples == a.samples
         from_b = res.audio.samples == b.samples
         assert np.all(from_a | from_b)
@@ -249,24 +257,20 @@ class TestCutmix:
 
 
 class TestPatchmix:
-    def _spec(self, seed):
-        bins = np.random.default_rng(seed).standard_normal((128, 1024))
-        return Spectrogram(bins, window_ms=25.0, hop_ms=10.0, mel_low_hz=0.0, mel_high_hz=8000.0)
-
     def test_lambda_one_keeps_a(self):
-        s_a, s_b = self._spec(51), self._spec(52)
-        res = patchmix(s_a, s_b, MixParams(lam=1.0), CRACKLE, WHEEZE)
+        s_a, s_b = noise_spec(51), noise_spec(52)
+        res = mix(request(s_a, s_b, strategy="patchmix", lam=1.0))
         assert np.array_equal(res.audio.bins, s_a.bins)
 
     def test_lambda_zero_takes_b(self):
-        s_a, s_b = self._spec(53), self._spec(54)
-        res = patchmix(s_a, s_b, MixParams(lam=0.0), CRACKLE, WHEEZE)
+        s_a, s_b = noise_spec(53), noise_spec(54)
+        res = mix(request(s_a, s_b, strategy="patchmix", lam=0.0))
         assert np.array_equal(res.audio.bins, s_b.bins)
 
     @pytest.mark.parametrize("lam", [0.1, 0.33, 0.5, 0.9])
     def test_replaced_fraction_within_one_patch(self, lam):
-        s_a, s_b = self._spec(55), self._spec(56)
-        res = patchmix(s_a, s_b, MixParams(lam=lam, seed=57), CRACKLE, WHEEZE)
+        s_a, s_b = noise_spec(55), noise_spec(56)
+        res = mix(request(s_a, s_b, strategy="patchmix", lam=lam, seed=57))
         replaced = 0
         for r in range(0, 128, 16):
             for c in range(0, 1024, 16):
@@ -277,15 +281,15 @@ class TestPatchmix:
         assert abs(replaced / n_patches - (1.0 - lam)) <= 1.0 / n_patches
 
     def test_preserve_mode_keeps_first_label(self):
-        s_a, s_b = self._spec(58), self._spec(59)
-        res = patchmix(s_a, s_b, MixParams(seed=60), CRACKLE, WHEEZE, interpolation="preserve")
+        s_a, s_b = noise_spec(58), noise_spec(59)
+        res = mix(request(s_a, s_b, strategy="patchmix", interpolation="preserve", seed=60))
         assert res.label == CRACKLE
 
     def test_shape_mismatch_raises(self):
-        s_a = self._spec(61)
+        s_a = noise_spec(61)
         s_b = Spectrogram(np.zeros((64, 1024)), 25.0, 10.0, 0.0, 8000.0)
         with pytest.raises(ShapeMismatch):
-            patchmix(s_a, s_b, MixParams(), CRACKLE, WHEEZE)
+            mix(request(s_a, s_b, strategy="patchmix"))
 
 
 class TestDispatch:
@@ -299,3 +303,24 @@ class TestDispatch:
         a, b = noise_wave(65), noise_wave(66)
         with pytest.raises(InvalidConfig):
             mix(request(a, b, strategy="patchmix", seed=67))
+        with pytest.raises(InvalidConfig):
+            mix(request(noise_spec(68), noise_spec(69), strategy="lungmix"))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_label_follows_interpolation_mode(self, strategy, mode):
+        """crackle + wheeze at lam 0.25: every strategy resolves the label
+        under the requested mode (each kernel keeps exactly a quarter of a)."""
+        make = noise_spec if strategy == "patchmix" else noise_wave
+        req = request(make(70), make(71), strategy=strategy, interpolation=mode, lam=0.25)
+        res = mix(req)
+        expected = {
+            "nonlinear": ("both", False),
+            "combined": ("both", True),
+            "preserve": ("crackle", False),
+            "linear": ("wheeze", True),  # dominant-weight source
+        }[mode]
+        assert (res.label.name, res.soft_target is not None) == expected
+        if res.soft_target is not None:
+            assert res.soft_target == SoftTriple(CRACKLE, WHEEZE, 0.25)
+        assert (res.provenance.strategy, res.provenance.interpolation) == (strategy, mode)
