@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import EmptyAudio, InvalidConfig, MissingAudio, ParseError
+from .errors import EmptyAudio, MissingAudio, ParseError
 from .pipeline import Spectrogram, Waveform
 
 
@@ -24,7 +24,7 @@ def read_wav(path) -> Waveform:
     except (ValueError, struct.error) as exc:
         raise ParseError(f"cannot read WAV {path}: {exc}") from exc
     if data.ndim != 1:
-        raise InvalidConfig(f"expected mono WAV, got {data.ndim} channels: {path}")
+        raise ParseError(f"expected mono WAV, got {data.ndim} channels: {path}")
     if data.size == 0:
         raise EmptyAudio(f"WAV contains no samples: {path}")
     if data.dtype == np.int16:
@@ -32,7 +32,7 @@ def read_wav(path) -> Waveform:
     elif data.dtype == np.float32:
         samples = data.astype(np.float64)
     else:
-        raise InvalidConfig(f"unsupported WAV sample format {data.dtype}: {path}")
+        raise ParseError(f"unsupported WAV sample format {data.dtype}: {path}")
     return Waveform(samples, rate)
 
 

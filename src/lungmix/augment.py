@@ -2,10 +2,15 @@
 
 Each pair gets its own random stream derived from (master seed, pair index),
 so results are identical no matter how many workers run or in what order the
-pool schedules them.
+pool schedules them. What is deterministic about a source record (decode,
+resample and, for patchmix, bandpass) is computed once per run by a
+`_SourceStore`; only the seeded per-pair work runs per pair. Results stream
+to the exporter in pair order, so memory does not grow with the pair count.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import Counter, deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -15,7 +20,15 @@ from .errors import InvalidConfig
 from .labels import FOUR_CLASS, LabelSchema, LabelVector
 from .masks import MixParams
 from .mixing import MixRequest, MixResult, mix, shift_roll_pair
-from .pipeline import PipelineConfig, preprocess, resample
+from .pipeline import (
+    PipelineConfig,
+    Spectrogram,
+    Waveform,
+    condition,
+    featurize,
+    needs_padding,
+    resample,
+)
 from .rng import derive_rng, derive_seed
 
 
@@ -41,18 +54,86 @@ def _label_of(record: RecordManifest, schema: LabelSchema) -> LabelVector:
     return schema.vector(record.label_unified)
 
 
+class _SourceStore:
+    """Each source's preparation, computed once per run and held only while
+    a pair still needs it.
+
+    The pairs are fixed before any mixing starts, so the store is told every
+    key it will be asked for, with repeats. `take` returns the prepared source
+    and drops the entry once the last pair that needs it has taken it. The
+    first thread to ask for a key computes it; a thread asking meanwhile waits
+    for that result instead of computing it again.
+    """
+
+    def __init__(self, keys, prepare):
+        self._uses = Counter(keys)
+        self._entries: dict[object, Future] = {}
+        self._lock = threading.Lock()
+        self._prepare = prepare
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def take(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            owner = entry is None
+            if owner:
+                entry = self._entries[key] = Future()
+            self._uses[key] -= 1
+            if not self._uses[key]:
+                del self._entries[key], self._uses[key]
+        if owner:
+            try:
+                entry.set_result(self._prepare(key))
+            except BaseException as exc:
+                entry.set_exception(exc)
+        return entry.result()
+
+
+def _in_order(pool: ThreadPoolExecutor, job, n: int, ahead: int):
+    """Yield job(0), ..., job(n - 1) from the pool in order, with at most
+    `ahead` jobs submitted but not yet yielded.
+
+    `pool.map` would submit all n at once, and finished results would pile up
+    whenever the consumer falls behind.
+    """
+    pending: deque[Future] = deque()
+    for i in range(n):
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(job, i))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _prepare(
+    path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig
+) -> Waveform | Spectrogram:
+    """A source's deterministic preparation: decode and resample; for patchmix
+    also bandpass, and the whole spectrogram when fitting its length draws no
+    padding noise. Its array is read-only, since every pair that takes it
+    shares it."""
+    audio = resample(read_wav(path), plan.target_rate)
+    if plan.strategy == "patchmix":
+        audio = condition(audio, pipeline_cfg)
+        if not needs_padding(audio, pipeline_cfg):
+            audio = featurize(audio, pipeline_cfg)[1]
+    (audio.bins if isinstance(audio, Spectrogram) else audio.samples).flags.writeable = False
+    return audio
+
+
 def _mix_one(
     index: int,
     pair: tuple[RecordManifest, RecordManifest],
+    sources: tuple[Waveform | Spectrogram, Waveform | Spectrogram],
     plan: AugmentPlan,
-    manifest_path: Path,
     schema: LabelSchema,
     pipeline_cfg: PipelineConfig,
 ) -> MixResult:
     rec_a, rec_b = pair
+    audio_a, audio_b = sources
     seed = derive_seed(plan.master_seed, "mix", index)
-    audio_a = resample(read_wav(resolve_audio_path(rec_a, manifest_path)), plan.target_rate)
-    audio_b = resample(read_wav(resolve_audio_path(rec_b, manifest_path)), plan.target_rate)
     params = MixParams(
         alpha=plan.alpha,
         lam=plan.lam,
@@ -63,8 +144,11 @@ def _mix_one(
 
     rolled = offset = None
     if plan.strategy == "patchmix":
-        audio_a = preprocess(audio_a, pipeline_cfg, derive_rng(seed, "prep", "a"))[1]
-        audio_b = preprocess(audio_b, pipeline_cfg, derive_rng(seed, "prep", "b"))[1]
+        # a stored spectrogram needed no padding; otherwise pad with this pair's noise
+        if isinstance(audio_a, Waveform):
+            audio_a = featurize(audio_a, pipeline_cfg, derive_rng(seed, "prep", "a"))[1]
+        if isinstance(audio_b, Waveform):
+            audio_b = featurize(audio_b, pipeline_cfg, derive_rng(seed, "prep", "b"))[1]
     elif plan.apply_roll and plan.strategy == "lungmix":
         # rolling diversifies the lungmix pair; the plain baselines stay unrolled
         audio_a, audio_b, rolled, offset = shift_roll_pair(
@@ -106,14 +190,19 @@ def augment_corpus(
         records, plan.n_pairs, plan.pairing, derive_rng(plan.master_seed, "pairing")
     )
 
-    def job(i: int) -> MixResult:
-        return _mix_one(i, pairs[i], plan, manifest_path, schema, pipeline_cfg)
+    paths = [tuple(resolve_audio_path(rec, manifest_path) for rec in pair) for pair in pairs]
+    store = _SourceStore(
+        [path for pair in paths for path in pair], lambda path: _prepare(path, plan, pipeline_cfg)
+    )
 
+    def job(i: int) -> MixResult:
+        sources = tuple(map(store.take, paths[i]))
+        return _mix_one(i, pairs[i], sources, plan, schema, pipeline_cfg)
+
+    # results are exported as they arrive, in pair order, never all held at once
+    datasets = [a.dataset for a, _ in pairs]
     if plan.workers > 1:
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(job, range(len(pairs))))
-    else:
-        results = [job(i) for i in range(len(pairs))]
-
-    datasets = [a.dataset for a, _ in pairs]
-    return export_augmented(results, out_dir, datasets=datasets)
+            results = _in_order(pool, job, len(pairs), ahead=2 * plan.workers)
+            return export_augmented(results, out_dir, datasets=datasets)
+    return export_augmented(map(job, range(len(pairs))), out_dir, datasets=datasets)

@@ -194,10 +194,15 @@ def cmd_inspect_mask(args) -> int:
     try:
         writer = csv.writer(sink)
         writer.writerow(["sample_index", "m_i", "m_j", "r", "combined"])
-        for t in range(len(trace.mask)):
-            writer.writerow(
-                [t, int(trace.mask_a[t]), int(trace.mask_b[t]), int(trace.rand[t]), trace.mask.values[t]]
+        writer.writerows(
+            zip(
+                range(len(trace.mask)),
+                trace.mask_a.astype(int).tolist(),
+                trace.mask_b.astype(int).tolist(),
+                trace.rand.astype(int).tolist(),
+                trace.mask.values.tolist(),
             )
+        )
     finally:
         if args.out:
             sink.close()

@@ -5,12 +5,13 @@ comes from an explicitly passed generator, never global state.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 from scipy.signal import butter, resample_poly, sosfiltfilt
 
-from .errors import EmptyAudio, InvalidConfig
+from .errors import EmptyAudio, InvalidConfig, NumericalError
 
 # log-power floor: a zero-energy mel frame evaluates to log(POWER_FLOOR)
 POWER_FLOOR = 1e-10
@@ -34,7 +35,7 @@ class Waveform:
         if arr.ndim != 1:
             raise InvalidConfig(f"waveform must be 1-D, got shape {arr.shape}")
         if arr.size and not np.isfinite(arr).all():
-            raise InvalidConfig("waveform contains NaN or Inf")
+            raise NumericalError("waveform contains NaN or Inf")
         if int(self.sample_rate) <= 0:
             raise InvalidConfig(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", arr)
@@ -108,18 +109,24 @@ class PipelineConfig:
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Polyphase windowed-sinc resampling to `target_rate`.
 
-    Identical rates pass the samples through untouched.
+    Identical rates return `w` itself: a `Waveform` is never written in place.
     """
     if len(w) == 0:
         raise EmptyAudio("cannot resample empty waveform")
     if target_rate <= 0:
         raise InvalidConfig(f"target_rate must be positive, got {target_rate}")
     if target_rate == w.sample_rate:
-        return Waveform(w.samples.copy(), target_rate)
+        return w
     g = gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
     out = resample_poly(w.samples, up, down)
     return Waveform(out, target_rate)
+
+
+@lru_cache(maxsize=None)
+def _bandpass_sos(low: float, high: float, sample_rate: int) -> np.ndarray:
+    # left writable: scipy's filter kernel rejects read-only coefficients
+    return butter(4, [low, high], btype="bandpass", fs=sample_rate, output="sos")
 
 
 def bandpass(w: Waveform, low: float, high: float) -> Waveform:
@@ -130,7 +137,7 @@ def bandpass(w: Waveform, low: float, high: float) -> Waveform:
         )
     if len(w) == 0:
         raise EmptyAudio("cannot filter empty waveform")
-    sos = butter(4, [low, high], btype="bandpass", fs=w.sample_rate, output="sos")
+    sos = _bandpass_sos(low, high, w.sample_rate)
     # sosfiltfilt needs padlen < signal length; shrink it for short inputs
     default_padlen = 3 * (2 * sos.shape[0] + 1)
     padlen = min(default_padlen, len(w) - 1)
@@ -214,6 +221,13 @@ def mel_filterbank(
     return fb
 
 
+@lru_cache(maxsize=None)
+def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int, scale: str) -> np.ndarray:
+    fb = mel_filterbank(n_mels, n_fft, sample_rate, scale)
+    fb.flags.writeable = False
+    return fb
+
+
 def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
     """Log-mel spectrogram with exactly (cfg.mel_bins, cfg.frames) bins.
 
@@ -238,7 +252,7 @@ def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
     n_frames = min(n_frames_raw, cfg.frames)
 
     window = np.hanning(win)
-    fb = mel_filterbank(cfg.mel_bins, n_fft, w.sample_rate, cfg.mel_scale)
+    fb = _cached_filterbank(cfg.mel_bins, n_fft, w.sample_rate, cfg.mel_scale)
 
     floor_value = np.log(POWER_FLOOR)
     bins = np.full((cfg.mel_bins, cfg.frames), floor_value)
@@ -265,6 +279,27 @@ def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogra
     return replace(s, bins=(s.bins - mean) / std)
 
 
+def condition(w: Waveform, cfg: PipelineConfig) -> Waveform:
+    """The deterministic head of `preprocess`: resample, then bandpass."""
+    return bandpass(resample(w, cfg.target_rate), cfg.band_low, cfg.band_high)
+
+
+def needs_padding(w: Waveform, cfg: PipelineConfig) -> bool:
+    """Whether `featurize` pads `w` up to the clip length; noise padding is
+    the pipeline's only random draw."""
+    return len(w) < int(round(cfg.clip_seconds * w.sample_rate))
+
+
+def featurize(
+    w: Waveform, cfg: PipelineConfig, rng: np.random.Generator | None = None
+) -> tuple[Waveform, Spectrogram]:
+    """The tail of `preprocess` on a conditioned waveform: fit length ->
+    log-mel -> normalize."""
+    out = fit_length(w, cfg.clip_seconds, pad_mode=cfg.pad_mode, pad_eps=cfg.pad_eps, rng=rng)
+    spec = mel_spectrogram(out, cfg)
+    return out, normalize_spectrogram(spec, cfg.norm_mean, cfg.norm_std)
+
+
 def preprocess(
     w: Waveform, cfg: PipelineConfig, rng: np.random.Generator | None = None
 ) -> tuple[Waveform, Spectrogram]:
@@ -272,8 +307,4 @@ def preprocess(
 
     Returns the preprocessed waveform together with its normalized spectrogram.
     """
-    out = resample(w, cfg.target_rate)
-    out = bandpass(out, cfg.band_low, cfg.band_high)
-    out = fit_length(out, cfg.clip_seconds, pad_mode=cfg.pad_mode, pad_eps=cfg.pad_eps, rng=rng)
-    spec = mel_spectrogram(out, cfg)
-    return out, normalize_spectrogram(spec, cfg.norm_mean, cfg.norm_std)
+    return featurize(condition(w, cfg), cfg, rng)

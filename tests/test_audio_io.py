@@ -13,7 +13,7 @@ from lungmix.audio_io import (
     write_spectrogram_csv,
     write_wav,
 )
-from lungmix.errors import InvalidConfig, MissingAudio, ParseError
+from lungmix.errors import MissingAudio, ParseError
 from lungmix.pipeline import Spectrogram, Waveform
 
 
@@ -39,8 +39,15 @@ def test_reads_float32_wav(tmp_path):
 def test_rejects_stereo(tmp_path):
     data = np.zeros((100, 2), dtype=np.int16)
     wavfile.write(tmp_path / "s.wav", 8000, data)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(ParseError) as exc:
         read_wav(tmp_path / "s.wav")
+    assert exc.value.category == "data"
+
+def test_rejects_unsupported_sample_format_as_data(tmp_path):
+    wavfile.write(tmp_path / "d.wav", 8000, np.zeros(100, dtype=np.float64))
+    with pytest.raises(ParseError) as exc:
+        read_wav(tmp_path / "d.wav")
+    assert exc.value.category == "data"
 
 def test_missing_wav_raises(tmp_path):
     with pytest.raises(MissingAudio):

@@ -1,0 +1,142 @@
+"""Batch augmentation: the per-run source store and streamed export."""
+
+import hashlib
+import json
+import sys
+import threading
+import time
+import tracemalloc
+from collections import Counter
+
+import pytest
+from scipy.io import wavfile
+
+from lungmix import augment
+from lungmix.augment import AugmentPlan, augment_corpus
+from lungmix.dataset import align_records, load_manifest
+from lungmix.errors import ParseError
+from lungmix.mixing import STRATEGIES
+from lungmix.pipeline import PipelineConfig
+from lungmix.synth import make_corpus
+
+
+def run_digest(out_dir):
+    h = hashlib.sha256()
+    for p in sorted(out_dir.iterdir()):
+        h.update(p.name.encode())
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+def test_store_prepares_each_key_once_under_contention():
+    keys = [key for key in range(6) for _ in range(5)]
+    prepared = Counter()
+    lock = threading.Lock()
+
+    def prepare(key):
+        with lock:
+            prepared[key] += 1
+        time.sleep(0.001)  # widen the window in which other threads miss too
+        return key * 10
+
+    store = augment._SourceStore(keys, prepare)
+    taken = [[] for _ in range(8)]
+
+    def worker(i):
+        taken[i].extend(store.take(key) for key in keys[i::8])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert prepared == Counter(range(6))
+    assert sorted(v for part in taken for v in part) == sorted(key * 10 for key in keys)
+    assert len(store) == 0
+
+
+def test_store_hands_a_failed_preparation_to_every_taker():
+    def prepare(key):
+        raise ParseError(f"cannot read {key}")
+
+    store = augment._SourceStore(["k", "k"], prepare)
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            store.take("k")
+    assert len(store) == 0
+
+
+@pytest.fixture(scope="module")
+def mixed_lengths(tmp_path_factory):
+    """Two 2 s records per class; one of each class cut to 1 s, so patchmix
+    at a 1.5 s clip both stores whole spectrograms and pads per pair."""
+    out = tmp_path_factory.mktemp("mixed_lengths")
+    manifest = make_corpus(out, per_class=2, duration_s=2.0, n_events=2, seed=11)
+    for wav in sorted(out.glob("*-000.wav")):
+        rate, data = wavfile.read(wav)
+        wavfile.write(wav, rate, data[: rate])
+    return manifest
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_store_decodes_once_and_workers_agree(mixed_lengths, tmp_path, monkeypatch, strategy):
+    decoded = []
+    stores = []
+    lock = threading.Lock()
+    real_read_wav = augment.read_wav
+
+    def counting_read_wav(path):
+        with lock:
+            decoded.append(path)
+        return real_read_wav(path)
+
+    class RecordedStore(augment._SourceStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(augment, "read_wav", counting_read_wav)
+    monkeypatch.setattr(augment, "_SourceStore", RecordedStore)
+    records = align_records(load_manifest(mixed_lengths))
+    cfg = PipelineConfig(clip_seconds=1.5)
+    digests = []
+    for workers in (1, 2):
+        decoded.clear()
+        plan = AugmentPlan(strategy=strategy, n_pairs=12, master_seed=5, workers=workers)
+        out = tmp_path / f"w{workers}"
+        manifest = augment_corpus(records, mixed_lengths, out, plan, pipeline_cfg=cfg)
+        rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+        used = {r["provenance"][side] for r in rows for side in ("source_a", "source_b")}
+        assert len(decoded) == len(set(decoded)) == len(used)
+        assert len(stores[-1]) == 0
+        digests.append(run_digest(out))
+    assert digests[0] == digests[1]
+
+
+@pytest.fixture(scope="module")
+def one_second_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one_second")
+    manifest = make_corpus(out, per_class=1, duration_s=1.0, n_events=1, seed=2)
+    return manifest, align_records(load_manifest(manifest))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_peak_memory_does_not_grow_with_pairs(one_second_corpus, tmp_path, workers):
+    manifest, records = one_second_corpus
+
+    def peak(n_pairs):
+        plan = AugmentPlan(n_pairs=n_pairs, master_seed=4, workers=workers)
+        tracemalloc.start()
+        try:
+            augment_corpus(records, manifest, tmp_path / f"p{n_pairs}", plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) <= 1.5 * peak(8)

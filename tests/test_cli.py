@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from lungmix.audio_io import read_spectrogram, read_wav, write_wav
 from lungmix.cli import main
@@ -196,6 +197,18 @@ class TestExitCodes:
         rc = main([
             "augment", "--manifest", str(bad), "--out", str(tmp_path / "o"),
             "--strategy", "lungmix", "--pairs", "1",
+        ])
+        assert rc == 3
+
+    def test_stereo_wav_in_manifest_is_data_error_3(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--per-class", "1", "--seed", "3"]) == 0
+        for wav in corpus.glob("*.wav"):
+            stereo = np.stack([read_wav(wav).samples] * 2, axis=1).astype(np.float32)
+            wavfile.write(wav, 16000, stereo)
+        rc = main([
+            "augment", "--manifest", str(corpus / "corpus.jsonl"),
+            "--out", str(tmp_path / "o"), "--strategy", "lungmix", "--pairs", "2",
         ])
         assert rc == 3
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lungmix.errors import EmptyAudio, InvalidConfig
+from lungmix.errors import EmptyAudio, InvalidConfig, NumericalError
 from lungmix.pipeline import (
     PipelineConfig,
     Spectrogram,
     Waveform,
     bandpass,
+    condition,
+    featurize,
     fit_length,
     mel_spectrogram,
     normalize_spectrogram,
@@ -64,6 +66,18 @@ class TestResample:
     def test_bad_rate_raises(self):
         with pytest.raises(InvalidConfig):
             resample(tone(100.0), 0)
+
+    def test_same_rate_returns_input(self):
+        w = tone(100.0)
+        assert resample(w, 16000) is w
+
+
+class TestWaveform:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_are_numerical_data_errors(self, bad):
+        with pytest.raises(NumericalError) as exc:
+            Waveform(np.array([0.0, bad]), 16000)
+        assert exc.value.category == "data"
 
 
 class TestBandpass:
@@ -186,6 +200,24 @@ class TestMelSpectrogram:
         with pytest.raises(InvalidConfig):
             mel_spectrogram(w, self.CFG)
 
+    def test_filterbank_built_once_per_setting(self, rng, monkeypatch):
+        import lungmix.pipeline as pipeline
+
+        built = []
+        real = pipeline.mel_filterbank
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "mel_filterbank", counting)
+        pipeline._cached_filterbank.cache_clear()
+        cfg = PipelineConfig(mel_bins=64)
+        w = Waveform(rng.standard_normal(16000) * 0.1, 16000)
+        first = mel_spectrogram(w, cfg)
+        assert np.array_equal(mel_spectrogram(w, cfg).bins, first.bins)
+        assert len(built) == 1
+
     def test_slaney_scale_supported(self, rng):
         cfg = PipelineConfig(mel_scale="slaney")
         w = Waveform(rng.standard_normal(144000) * 0.1, 16000)
@@ -227,6 +259,14 @@ class TestFullPipeline:
         assert np.array_equal(s1.bins, s2.bins)
         assert len(w1) == 144000
         assert s1.bins.shape == (128, 1024)
+
+    def test_is_condition_then_featurize(self, rng):
+        cfg = PipelineConfig()
+        w = Waveform(rng.standard_normal(44100 * 3) * 0.1, 44100)
+        whole = preprocess(w, cfg, np.random.default_rng(5))
+        split = featurize(condition(w, cfg), cfg, np.random.default_rng(5))
+        assert np.array_equal(whole[0].samples, split[0].samples)
+        assert np.array_equal(whole[1].bins, split[1].bins)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfig):
