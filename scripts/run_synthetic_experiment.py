@@ -2,8 +2,8 @@
 """Synthetic end-to-end comparison of the mixing strategies.
 
 Generates a seeded synthetic train/eval corpus, augments the train split with
-each strategy, fits a nearest-centroid classifier on mean log-mel features,
-and reports Se/Sp/Sc per strategy on the held-out records. Everything derives
+each strategy, fits a nearest-centroid classifier on log-mel features
+max-pooled over time, and reports Se/Sp/Sc per strategy on the held-out records. Everything derives
 from one master seed, so reruns print identical numbers.
 """
 

@@ -44,8 +44,13 @@ class AugmentPlan:
     n_pairs: int = 10
     master_seed: int = 0
     apply_roll: bool = True
-    target_rate: int = 16000
     workers: int = 1
+
+    def __post_init__(self):
+        if self.n_pairs < 1:
+            raise InvalidConfig(f"n_pairs must be at least 1, got {self.n_pairs}")
+        if self.workers < 1:
+            raise InvalidConfig(f"workers must be at least 1, got {self.workers}")
 
 
 def _label_of(record: RecordManifest, schema: LabelSchema) -> LabelVector:
@@ -110,12 +115,14 @@ def _in_order(pool: ThreadPoolExecutor, job, n: int, ahead: int):
 def _prepare(
     path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig
 ) -> Waveform | Spectrogram:
-    """A source's deterministic preparation: decode and resample; for patchmix
-    also bandpass, and the whole spectrogram when fitting its length draws no
-    padding noise. Its array is read-only, since every pair that takes it
-    shares it."""
-    audio = resample(read_wav(path), plan.target_rate)
-    if plan.strategy == "patchmix":
+    """A source's deterministic preparation: decode and resample to the
+    pipeline's rate; for patchmix also bandpass, and the whole spectrogram
+    when fitting its length draws no padding noise. Its array is read-only,
+    since every pair that takes it shares it."""
+    audio = read_wav(path)
+    if plan.strategy != "patchmix":
+        audio = resample(audio, pipeline_cfg.target_rate)
+    else:
         audio = condition(audio, pipeline_cfg)
         if not needs_padding(audio, pipeline_cfg):
             audio = featurize(audio, pipeline_cfg)[1]
@@ -179,12 +186,9 @@ def augment_corpus(
     out_dir,
     plan: AugmentPlan,
     schema: LabelSchema = FOUR_CLASS,
-    pipeline_cfg: PipelineConfig | None = None,
+    pipeline_cfg: PipelineConfig = PipelineConfig(),
 ) -> Path:
     """Pair, mix, and export; returns the output manifest path."""
-    if plan.n_pairs <= 0:
-        raise InvalidConfig("n_pairs must be positive")
-    pipeline_cfg = pipeline_cfg or PipelineConfig(target_rate=plan.target_rate)
     manifest_path = Path(manifest_path)
     pairs = pair_records(
         records, plan.n_pairs, plan.pairing, derive_rng(plan.master_seed, "pairing")

@@ -51,16 +51,8 @@ def _merged(file_section: dict, flag_values: dict) -> dict:
     return out
 
 
-def _pipeline_config(args, config: dict) -> PipelineConfig:
-    section = _merged(
-        config.get("pipeline", {}),
-        {
-            "target_rate": args.target_rate,
-            "band_low": args.band_low,
-            "band_high": args.band_high,
-            "clip_seconds": args.clip_seconds,
-        },
-    )
+def _pipeline_config(config: dict, flag_values: dict | None = None) -> PipelineConfig:
+    section = _merged(config.get("pipeline", {}), flag_values or {})
     try:
         return PipelineConfig(**section)
     except TypeError as exc:
@@ -76,7 +68,15 @@ def _write_snapshot(out_dir: Path, command: str, resolved: dict) -> None:
 
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
-    cfg = _pipeline_config(args, config)
+    cfg = _pipeline_config(
+        config,
+        {
+            "target_rate": args.target_rate,
+            "band_low": args.band_low,
+            "band_high": args.band_high,
+            "clip_seconds": args.clip_seconds,
+        },
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else config.get("master_seed", 0)
@@ -116,7 +116,7 @@ def cmd_augment(args) -> int:
         plan = AugmentPlan(**section)
     except TypeError as exc:
         raise InvalidConfig(f"bad augment config: {exc}") from exc
-    pipeline_cfg = PipelineConfig(**config.get("pipeline", {})) if "pipeline" in config else None
+    pipeline_cfg = _pipeline_config(config)
 
     maps = load_label_maps(args.label_maps) if args.label_maps else None
     records = load_manifest(args.manifest)
@@ -125,7 +125,9 @@ def cmd_augment(args) -> int:
     manifest = augment_corpus(
         records, args.manifest, out_dir, plan, schema=FOUR_CLASS, pipeline_cfg=pipeline_cfg
     )
-    _write_snapshot(out_dir, "augment", {"augment": asdict(plan)})
+    _write_snapshot(
+        out_dir, "augment", {"augment": asdict(plan), "pipeline": asdict(pipeline_cfg)}
+    )
     print(f"wrote {plan.n_pairs} augmented records, manifest at {manifest}")
     return 0
 

@@ -204,9 +204,13 @@ def export_augmented(results, out_dir, datasets=None) -> Path:
     Waveform results become 16-bit PCM WAVs, spectrogram results the flat
     binary format. Re-running with identical inputs produces byte-identical
     files; manifest rows are emitted in input order with relative paths.
+    A previous run's manifest is removed before the first file is written,
+    so a directory holds a manifest only when its last run finished.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = out_dir / "augmented.jsonl"
+    manifest.unlink(missing_ok=True)
     rows: list[RecordManifest] = []
     for i, result in enumerate(results):
         record_id = f"aug-{i:05d}"
@@ -237,7 +241,7 @@ def export_augmented(results, out_dir, datasets=None) -> Path:
                 provenance=result.provenance.to_dict(),
             )
         )
-    return save_manifest(rows, out_dir / "augmented.jsonl")
+    return save_manifest(rows, manifest)
 
 
 def pair_records(

@@ -9,7 +9,7 @@ request's interpolation mode and records provenance. Everything is a pure
 function of the request, so identical requests regenerate bit-identical output.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,8 +142,8 @@ def _pad_pair(
     """Noise-pad the shorter waveform to the longer one's length (a draws first)."""
     n = max(len(a), len(b))
     return (
-        pad_to_length(a, n, pad_mode="noise", rng=rng),
-        pad_to_length(b, n, pad_mode="noise", rng=rng),
+        pad_to_length(a, n, rng),
+        pad_to_length(b, n, rng),
     )
 
 
@@ -230,7 +230,7 @@ def patchmix(
         out[r : r + PATCH_SIZE, c : c + PATCH_SIZE] = s_b.bins[
             r : r + PATCH_SIZE, c : c + PATCH_SIZE
         ]
-    return replace(s_a, bins=out), 1.0 - n_replace / n_patches
+    return Spectrogram(out), 1.0 - n_replace / n_patches
 
 
 def _draw_lambda(req: MixRequest) -> tuple[np.random.Generator, float]:

@@ -1,10 +1,12 @@
 """Deterministic audio preprocessing: resample, bandpass, length fit, log-mel.
 
 All operations are pure functions over `Waveform`; randomness (noise padding)
-comes from an explicitly passed generator, never global state.
+comes from an explicitly passed generator, never global state. There is one
+configuration of each step: padding is uniform noise in [-PAD_EPS, PAD_EPS]
+and the mel scale is HTK.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -15,6 +17,9 @@ from .errors import EmptyAudio, InvalidConfig, NumericalError
 
 # log-power floor: a zero-energy mel frame evaluates to log(POWER_FLOOR)
 POWER_FLOOR = 1e-10
+
+# half-width of the uniform noise that pads a waveform to length
+PAD_EPS = 1e-4
 
 # log-mel statistics commonly used to normalize inputs of spectrogram
 # transformers pretrained on large-scale audio corpora; config defaults only,
@@ -51,25 +56,17 @@ class Waveform:
 
 @dataclass(frozen=True, eq=False)
 class Spectrogram:
-    """Log-mel bins with shape (mel_bins, frames) plus the analysis settings."""
+    """Log-mel bins with shape (mel_bins, frames)."""
 
     bins: np.ndarray
-    window_ms: float
-    hop_ms: float
-    mel_low_hz: float
-    mel_high_hz: float
 
     def __post_init__(self):
         arr = np.asarray(self.bins, dtype=np.float64)
         if arr.ndim != 2:
             raise InvalidConfig(f"spectrogram must be 2-D, got shape {arr.shape}")
         if not np.isfinite(arr).all():
-            raise InvalidConfig("spectrogram contains NaN or Inf")
+            raise NumericalError("spectrogram contains NaN or Inf")
         object.__setattr__(self, "bins", arr)
-
-    @property
-    def shape(self):
-        return self.bins.shape
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,10 @@ class PipelineConfig:
     band_low: float = 50.0
     band_high: float = 1500.0
     clip_seconds: float = 9.0
-    pad_mode: str = "noise"  # "zeros" | "noise"
-    pad_eps: float = 1e-4
     window_ms: float = 25.0
     hop_ms: float = 10.0
     mel_bins: int = 128
     frames: int = 1024
-    mel_scale: str = "htk"  # "htk" | "slaney"
     norm_mean: float = DEFAULT_NORM_MEAN
     norm_std: float = DEFAULT_NORM_STD
 
@@ -100,10 +94,6 @@ class PipelineConfig:
             raise InvalidConfig("clip_seconds must be positive")
         if self.norm_std <= 0:
             raise InvalidConfig("norm_std must be positive")
-        if self.pad_mode not in ("zeros", "noise"):
-            raise InvalidConfig(f"unknown pad_mode {self.pad_mode!r}")
-        if self.mel_scale not in ("htk", "slaney"):
-            raise InvalidConfig(f"unknown mel_scale {self.mel_scale!r}")
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
@@ -146,71 +136,46 @@ def bandpass(w: Waveform, low: float, high: float) -> Waveform:
 
 
 def pad_to_length(
-    w: Waveform,
-    length: int,
-    pad_mode: str = "zeros",
-    pad_eps: float = 1e-4,
-    rng: np.random.Generator | None = None,
+    w: Waveform, length: int, rng: np.random.Generator | None = None
 ) -> Waveform:
-    """Truncate to `length` keeping the head, or pad the tail.
+    """Truncate to `length` keeping the head, or pad the tail with uniform
+    noise in [-PAD_EPS, PAD_EPS] drawn from `rng`.
 
-    Noise padding draws uniform samples in [-pad_eps, pad_eps] from `rng`.
+    Truncation returns a view of `w`'s samples: a `Waveform` is never written
+    in place, so `rng` is needed only when padding.
     """
     if length < 0:
         raise InvalidConfig("target length must be non-negative")
     n = len(w)
     if n >= length:
-        return Waveform(w.samples[:length].copy(), w.sample_rate)
-    if pad_mode == "zeros":
-        tail = np.zeros(length - n)
-    elif pad_mode == "noise":
-        if rng is None:
-            raise InvalidConfig("noise padding requires an explicit rng")
-        tail = rng.uniform(-pad_eps, pad_eps, length - n)
-    else:
-        raise InvalidConfig(f"unknown pad_mode {pad_mode!r}")
+        return Waveform(w.samples[:length], w.sample_rate)
+    if rng is None:
+        raise InvalidConfig("noise padding requires an explicit rng")
+    tail = rng.uniform(-PAD_EPS, PAD_EPS, length - n)
     return Waveform(np.concatenate([w.samples, tail]), w.sample_rate)
 
 
 def fit_length(
-    w: Waveform,
-    clip_seconds: float,
-    pad_mode: str = "zeros",
-    pad_eps: float = 1e-4,
-    rng: np.random.Generator | None = None,
+    w: Waveform, clip_seconds: float, rng: np.random.Generator | None = None
 ) -> Waveform:
     """Cut or pad the waveform to exactly round(clip_seconds * rate) samples."""
     if clip_seconds <= 0:
         raise InvalidConfig("clip_seconds must be positive")
-    target = int(round(clip_seconds * w.sample_rate))
-    return pad_to_length(w, target, pad_mode=pad_mode, pad_eps=pad_eps, rng=rng)
+    return pad_to_length(w, int(round(clip_seconds * w.sample_rate)), rng)
 
 
-def hz_to_mel(f, scale: str = "htk"):
-    f = np.asarray(f, dtype=np.float64)
-    if scale == "htk":
-        return 2595.0 * np.log10(1.0 + f / 700.0)
-    # slaney: linear below 1 kHz, logarithmic above
-    linear = f / (200.0 / 3.0)
-    log_step = np.log(6.4) / 27.0
-    return np.where(f < 1000.0, linear, 15.0 + np.log(np.maximum(f, 1000.0) / 1000.0) / log_step)
+def hz_to_mel(f):
+    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_to_hz(m, scale: str = "htk"):
-    m = np.asarray(m, dtype=np.float64)
-    if scale == "htk":
-        return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
-    log_step = np.log(6.4) / 27.0
-    return np.where(m < 15.0, m * (200.0 / 3.0), 1000.0 * np.exp(log_step * (m - 15.0)))
+def mel_to_hz(m):
+    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_mels: int, n_fft: int, sample_rate: int, scale: str = "htk"
-) -> np.ndarray:
-    """Triangular mel filterbank, (n_mels, n_fft // 2 + 1), spanning 0..Nyquist."""
-    nyquist = sample_rate / 2.0
-    mel_pts = np.linspace(hz_to_mel(0.0, scale), hz_to_mel(nyquist, scale), n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts, scale)
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Triangular HTK-mel filterbank, (n_mels, n_fft // 2 + 1), spanning 0..Nyquist."""
+    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    hz_pts = mel_to_hz(mel_pts)
     fft_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     fb = np.zeros((n_mels, fft_freqs.size))
     for m in range(n_mels):
@@ -222,8 +187,8 @@ def mel_filterbank(
 
 
 @lru_cache(maxsize=None)
-def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int, scale: str) -> np.ndarray:
-    fb = mel_filterbank(n_mels, n_fft, sample_rate, scale)
+def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    fb = mel_filterbank(n_mels, n_fft, sample_rate)
     fb.flags.writeable = False
     return fb
 
@@ -252,7 +217,7 @@ def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
     n_frames = min(n_frames_raw, cfg.frames)
 
     window = np.hanning(win)
-    fb = _cached_filterbank(cfg.mel_bins, n_fft, w.sample_rate, cfg.mel_scale)
+    fb = _cached_filterbank(cfg.mel_bins, n_fft, w.sample_rate)
 
     floor_value = np.log(POWER_FLOOR)
     bins = np.full((cfg.mel_bins, cfg.frames), floor_value)
@@ -263,20 +228,14 @@ def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
         mel_power = power @ fb.T  # (frames, mel_bins)
         bins[:, :n_frames] = np.log(np.maximum(mel_power, POWER_FLOOR)).T
 
-    return Spectrogram(
-        bins,
-        window_ms=cfg.window_ms,
-        hop_ms=cfg.hop_ms,
-        mel_low_hz=0.0,
-        mel_high_hz=w.sample_rate / 2.0,
-    )
+    return Spectrogram(bins)
 
 
 def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogram:
     """Elementwise (x - mean) / std."""
     if std <= 0:
         raise InvalidConfig(f"std must be positive, got {std}")
-    return replace(s, bins=(s.bins - mean) / std)
+    return Spectrogram((s.bins - mean) / std)
 
 
 def condition(w: Waveform, cfg: PipelineConfig) -> Waveform:
@@ -295,7 +254,7 @@ def featurize(
 ) -> tuple[Waveform, Spectrogram]:
     """The tail of `preprocess` on a conditioned waveform: fit length ->
     log-mel -> normalize."""
-    out = fit_length(w, cfg.clip_seconds, pad_mode=cfg.pad_mode, pad_eps=cfg.pad_eps, rng=rng)
+    out = fit_length(w, cfg.clip_seconds, rng)
     spec = mel_spectrogram(out, cfg)
     return out, normalize_spectrogram(spec, cfg.norm_mean, cfg.norm_std)
 

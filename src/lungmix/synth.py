@@ -10,13 +10,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .audio_io import write_wav
 from .dataset import RecordManifest, save_manifest
 from .errors import InvalidConfig
 from .labels import FOUR_CLASS
-from .pipeline import Waveform
+from .pipeline import Waveform, bandpass
 from .rng import derive_rng, derive_seed
 
 
@@ -55,8 +54,7 @@ def _noise_floor(n: int, amp: float, rate: int, rng: np.random.Generator) -> np.
     white = rng.uniform(-1.0, 1.0, n) * amp
     if amp == 0.0 or n < 32:
         return white
-    sos = butter(4, [50.0, 1500.0], btype="bandpass", fs=rate, output="sos")
-    shaped = sosfiltfilt(sos, white, padlen=min(27, n - 1))
+    shaped = bandpass(Waveform(white, rate), 50.0, 1500.0).samples
     return np.clip(shaped, -1.8 * shaped.std(), 1.8 * shaped.std())
 
 

@@ -18,7 +18,7 @@ from lungmix.pipeline import Spectrogram, Waveform
 
 
 def spec(values):
-    return Spectrogram(values, window_ms=25.0, hop_ms=10.0, mel_low_hz=0.0, mel_high_hz=8000.0)
+    return Spectrogram(values)
 
 
 def test_wav_roundtrip_within_quantization(tmp_path, rng):

@@ -14,7 +14,7 @@ from scipy.io import wavfile
 from lungmix import augment
 from lungmix.augment import AugmentPlan, augment_corpus
 from lungmix.dataset import align_records, load_manifest
-from lungmix.errors import ParseError
+from lungmix.errors import InvalidConfig, ParseError
 from lungmix.mixing import STRATEGIES
 from lungmix.pipeline import PipelineConfig
 from lungmix.synth import make_corpus
@@ -26,6 +26,11 @@ def run_digest(out_dir):
         h.update(p.name.encode())
         h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def test_plan_rejects_zero_pairs():
+    with pytest.raises(InvalidConfig, match="n_pairs"):
+        AugmentPlan(n_pairs=0)
 
 
 def test_store_prepares_each_key_once_under_contention():

@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 from lungmix.audio_io import read_spectrogram, read_wav, write_wav
-from lungmix.cli import main
-from lungmix.pipeline import Waveform
+from lungmix.cli import EXIT_CODES, main
+from lungmix.errors import LungmixError
+from lungmix.pipeline import Spectrogram, Waveform
 
 
 def run_digest(out_dir):
@@ -223,3 +225,71 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def augment_lungmix(corpus, out, *flags, config=None):
+    argv = [
+        "augment", "--manifest", str(corpus / "corpus.jsonl"), "--out", str(out),
+        "--strategy", "lungmix", "--pairs", "2", "--seed", "7", *flags,
+    ]
+    if config is not None:
+        path = out.parent / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    return main(argv)
+
+
+def synth_below_bandpass_rate(corpus, tmp_path):
+    return main(["synth", "--out", str(tmp_path / "s"), "--duration", "3", "--sample-rate", "2000"])
+
+
+def config_error(config):
+    return lambda corpus, tmp_path: augment_lungmix(corpus, tmp_path / "o", config=config)
+
+
+def zero_workers(corpus, tmp_path):
+    return augment_lungmix(corpus, tmp_path / "o", "--workers", "0")
+
+
+def output_rates_at_8khz(corpus, tmp_path):
+    out = tmp_path / "o"
+    rc = augment_lungmix(corpus, out, config={"pipeline": {"target_rate": 8000}})
+    return rc, {wavfile.read(wav)[0] for wav in out.glob("*.wav")}
+
+
+def failed_rerun(corpus, tmp_path):
+    """A rerun into a finished run's directory that fails partway through."""
+    out = tmp_path / "o"
+    assert augment_lungmix(corpus, out) == 0
+    broken = tmp_path / "broken"
+    shutil.copytree(corpus, broken)
+    wav = broken / "synth-wheeze-000.wav"
+    wavfile.write(wav, 16000, np.stack([read_wav(wav).samples] * 2, axis=1).astype(np.float32))
+    rc = augment_lungmix(broken, out, "--pairs", "8", "--seed", "8")
+    return rc, (out / "augmented.jsonl").exists()
+
+
+def nan_spectrogram(corpus, tmp_path):
+    try:
+        Spectrogram(np.full((2, 2), np.nan))
+    except LungmixError as exc:
+        return type(exc).__name__, EXIT_CODES[exc.category]
+
+
+# (what a run does, what it must give): one row per fault that used to
+# escape its exit category or leave misleading outputs
+FAULTS = [
+    pytest.param(synth_below_bandpass_rate, 2, id="synth-rate-below-bandpass"),
+    pytest.param(config_error({"pipeline": {"bogus": 1}}), 2, id="unknown-pipeline-key"),
+    pytest.param(config_error({"pipeline": {"pad_mode": "zeros"}}), 2, id="removed-pipeline-key"),
+    pytest.param(config_error({"augment": {"target_rate": 16000}}), 2, id="removed-augment-key"),
+    pytest.param(zero_workers, 2, id="zero-workers"),
+    pytest.param(output_rates_at_8khz, (0, {8000}), id="outputs-follow-pipeline-rate"),
+    pytest.param(failed_rerun, (3, False), id="failed-rerun-leaves-no-manifest"),
+    pytest.param(nan_spectrogram, ("NumericalError", 3), id="nan-spectrogram-is-data-error"),
+]
+
+
+@pytest.mark.parametrize(("run", "expected"), FAULTS)
+def test_fault_outcomes(corpus, tmp_path, run, expected):
+    assert run(corpus, tmp_path) == expected
