@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .audio_io import read_wav
-from .dataset import RecordManifest, export_augmented, pair_records, resolve_audio_path
+from .dataset import PAIRINGS, RecordManifest, export_augmented, pair_records, resolve_audio_path
 from .errors import InvalidConfig
-from .labels import FOUR_CLASS, LabelSchema, LabelVector
+from .labels import FOUR_CLASS, MODES, LabelVector
 from .masks import MixParams
-from .mixing import MixRequest, MixResult, mix, shift_roll_pair
+from .mixing import STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
 from .pipeline import (
     PipelineConfig,
     Spectrogram,
@@ -47,16 +47,33 @@ class AugmentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise InvalidConfig(f"unknown strategy {self.strategy!r}")
+        if self.interpolation not in MODES:
+            raise InvalidConfig(f"unknown interpolation mode {self.interpolation!r}")
+        if self.pairing not in PAIRINGS:
+            raise InvalidConfig(f"unknown pairing policy {self.pairing!r}")
         if self.n_pairs < 1:
             raise InvalidConfig(f"n_pairs must be at least 1, got {self.n_pairs}")
         if self.workers < 1:
             raise InvalidConfig(f"workers must be at least 1, got {self.workers}")
+        self.mix_params(0)  # MixParams checks alpha, lam, random_density and semantics
+
+    def mix_params(self, seed: int) -> MixParams:
+        """The mixing knobs of the pair whose stream descends from `seed`."""
+        return MixParams(
+            alpha=self.alpha,
+            lam=self.lam,
+            seed=seed,
+            random_density=self.random_density,
+            semantics=self.semantics,
+        )
 
 
-def _label_of(record: RecordManifest, schema: LabelSchema) -> LabelVector:
+def _label_of(record: RecordManifest) -> LabelVector:
     if record.label_unified is None:
         raise InvalidConfig(f"record {record.record_id} has no unified label")
-    return schema.vector(record.label_unified)
+    return FOUR_CLASS.vector(record.label_unified)
 
 
 class _SourceStore:
@@ -135,19 +152,11 @@ def _mix_one(
     pair: tuple[RecordManifest, RecordManifest],
     sources: tuple[Waveform | Spectrogram, Waveform | Spectrogram],
     plan: AugmentPlan,
-    schema: LabelSchema,
     pipeline_cfg: PipelineConfig,
 ) -> MixResult:
     rec_a, rec_b = pair
     audio_a, audio_b = sources
     seed = derive_seed(plan.master_seed, "mix", index)
-    params = MixParams(
-        alpha=plan.alpha,
-        lam=plan.lam,
-        seed=seed,
-        random_density=plan.random_density,
-        semantics=plan.semantics,
-    )
 
     rolled = offset = None
     if plan.strategy == "patchmix":
@@ -163,10 +172,10 @@ def _mix_one(
         )
     req = MixRequest(
         audio_a=audio_a,
-        label_a=_label_of(rec_a, schema),
+        label_a=_label_of(rec_a),
         audio_b=audio_b,
-        label_b=_label_of(rec_b, schema),
-        params=params,
+        label_b=_label_of(rec_b),
+        params=plan.mix_params(seed),
         strategy=plan.strategy,
         interpolation=plan.interpolation,
         id_a=rec_a.record_id,
@@ -185,7 +194,6 @@ def augment_corpus(
     manifest_path,
     out_dir,
     plan: AugmentPlan,
-    schema: LabelSchema = FOUR_CLASS,
     pipeline_cfg: PipelineConfig = PipelineConfig(),
 ) -> Path:
     """Pair, mix, and export; returns the output manifest path."""
@@ -201,7 +209,7 @@ def augment_corpus(
 
     def job(i: int) -> MixResult:
         sources = tuple(map(store.take, paths[i]))
-        return _mix_one(i, pairs[i], sources, plan, schema, pipeline_cfg)
+        return _mix_one(i, pairs[i], sources, plan, pipeline_cfg)
 
     # results are exported as they arrive, in pair order, never all held at once
     datasets = [a.dataset for a, _ in pairs]

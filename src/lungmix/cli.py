@@ -11,12 +11,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_wav
 from .augment import AugmentPlan, augment_corpus
-from .dataset import align_records, load_label_maps, load_manifest
+from .dataset import PAIRINGS, align_records, load_label_maps, load_manifest
 from .errors import InvalidConfig, LungmixError
 from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
@@ -44,19 +44,18 @@ def _load_config(path) -> dict:
     return data
 
 
-def _merged(file_section: dict, flag_values: dict) -> dict:
-    """Config-file values overridden by explicitly given flags."""
-    out = dict(file_section)
-    out.update({k: v for k, v in flag_values.items() if v is not None})
-    return out
-
-
-def _pipeline_config(config: dict, flag_values: dict | None = None) -> PipelineConfig:
-    section = _merged(config.get("pipeline", {}), flag_values or {})
+def _section(config: dict, name: str, cls, args):
+    """`cls` built from the config file's `name` section, overlaid with every
+    flag given on the command line whose dest is a field of `cls`."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"config section {name!r} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
-        return PipelineConfig(**section)
+        return cls(**{**section, **flags})
     except TypeError as exc:
-        raise InvalidConfig(f"bad pipeline config: {exc}") from exc
+        raise InvalidConfig(f"bad {name} config: {exc}") from exc
 
 
 def _write_snapshot(out_dir: Path, command: str, resolved: dict) -> None:
@@ -68,15 +67,7 @@ def _write_snapshot(out_dir: Path, command: str, resolved: dict) -> None:
 
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
-    cfg = _pipeline_config(
-        config,
-        {
-            "target_rate": args.target_rate,
-            "band_low": args.band_low,
-            "band_high": args.band_high,
-            "clip_seconds": args.clip_seconds,
-        },
-    )
+    cfg = _section(config, "pipeline", PipelineConfig, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else config.get("master_seed", 0)
@@ -95,36 +86,14 @@ def cmd_preprocess(args) -> int:
 
 def cmd_augment(args) -> int:
     config = _load_config(args.config)
-    section = _merged(
-        config.get("augment", {}),
-        {
-            "strategy": args.strategy,
-            "interpolation": args.mode,
-            "alpha": args.alpha,
-            "lam": args.lam,
-            "random_density": args.density,
-            "semantics": args.semantics,
-            "pairing": args.pairing,
-            "n_pairs": args.pairs,
-            "master_seed": args.seed,
-            "workers": args.workers,
-        },
-    )
-    if args.no_roll:
-        section["apply_roll"] = False
-    try:
-        plan = AugmentPlan(**section)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad augment config: {exc}") from exc
-    pipeline_cfg = _pipeline_config(config)
+    plan = _section(config, "augment", AugmentPlan, args)
+    pipeline_cfg = _section(config, "pipeline", PipelineConfig, args)
 
     maps = load_label_maps(args.label_maps) if args.label_maps else None
     records = load_manifest(args.manifest)
     records = align_records(records, maps=maps)
     out_dir = Path(args.out)
-    manifest = augment_corpus(
-        records, args.manifest, out_dir, plan, schema=FOUR_CLASS, pipeline_cfg=pipeline_cfg
-    )
+    manifest = augment_corpus(records, args.manifest, out_dir, plan, pipeline_cfg)
     _write_snapshot(
         out_dir, "augment", {"augment": asdict(plan), "pipeline": asdict(pipeline_cfg)}
     )
@@ -182,13 +151,7 @@ def cmd_eval(args) -> int:
 def cmd_inspect_mask(args) -> int:
     audio_a = read_wav(args.file_a)
     audio_b = read_wav(args.file_b)
-    params = MixParams(
-        alpha=args.alpha,
-        lam=args.lam,
-        seed=args.seed,
-        random_density=args.density,
-        semantics=args.semantics,
-    )
+    params = _section({}, "inspect-mask", MixParams, args)
     normal = FOUR_CLASS.vector("normal")
     req = MixRequest(audio_a, normal, audio_b, normal, params, strategy="lungmix")
     trace = lungmix_trace(req)
@@ -235,16 +198,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--mode", dest="interpolation", choices=MODES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--lam", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--pairing", choices=["uniform", "cross-class"])
-    p.add_argument("--density", type=float)
+    p.add_argument("--seed", dest="master_seed", type=int)
+    p.add_argument("--pairs", dest="n_pairs", type=int)
+    p.add_argument("--pairing", choices=PAIRINGS)
+    p.add_argument("--density", dest="random_density", type=float)
     p.add_argument("--semantics", choices=SEMANTICS)
     p.add_argument("--workers", type=int)
-    p.add_argument("--no-roll", action="store_true", help="skip the pre-mix shift/roll")
+    p.add_argument(
+        "--no-roll", dest="apply_roll", action="store_false", default=None,
+        help="skip the pre-mix shift/roll",
+    )
     p.add_argument("--label-maps", help="JSON file overriding the shipped label maps")
     p.set_defaults(func=cmd_augment)
 
@@ -257,19 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("eval", parents=[common], help="score a predictions JSONL")
+    p = sub.add_parser("eval", help="score a predictions JSONL")
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect-mask", parents=[common], help="dump mix masks as CSV")
+    p = sub.add_parser("inspect-mask", help="dump mix masks as CSV")
     p.add_argument("--a", dest="file_a", required=True)
     p.add_argument("--b", dest="file_b", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--lam", type=float)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--semantics", choices=SEMANTICS, default="loudness_precedence")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--density", dest="random_density", type=float)
+    p.add_argument("--semantics", choices=SEMANTICS)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_inspect_mask)
 

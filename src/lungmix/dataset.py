@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 
 DATASETS = ("icbhi", "spr", "hf", "synthetic")
 SPLITS = ("train", "test")
+PAIRINGS = ("uniform", "cross-class")
 
 
 @dataclass
@@ -258,7 +259,7 @@ def pair_records(
     train = [r for r in records if r.split == "train"]
     if len(train) < 2:
         raise InvalidConfig("need at least two train records to form pairs")
-    if pairing not in ("uniform", "cross-class"):
+    if pairing not in PAIRINGS:
         raise InvalidConfig(f"unknown pairing policy {pairing!r}")
     if pairing == "cross-class":
         labels = {r.label_unified for r in train}

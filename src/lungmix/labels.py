@@ -83,21 +83,12 @@ class LabelVector:
             raise InvalidConfig(f"bitset {self.bits} out of range for schema")
 
     @property
-    def is_normal(self) -> bool:
-        return self.bits == 0
-
-    @property
     def name(self) -> str:
         return self.schema.category_name(self.bits)
 
     @property
     def category_index(self) -> int:
         return self.bits
-
-    def as_array(self) -> np.ndarray:
-        """Multi-hot vector over the abnormal classes."""
-        k = len(self.schema.abnormal_names)
-        return np.array([self.bits >> i & 1 for i in range(k)], dtype=np.int64)
 
 
 @dataclass(frozen=True)

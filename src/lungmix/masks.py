@@ -107,9 +107,9 @@ def combine_masks(
         raise InvalidConfig(f"lam must lie in [0, 1], got {lam}")
     union = m_i | m_j
     if semantics == "loudness_precedence":
-        values = np.where(union, lam, np.where(r, 1.0, 0.0))
+        values = np.where(union, lam, r)
     elif semantics == "max":
-        values = np.maximum(lam * union, r.astype(np.float64))
+        values = np.maximum(lam * union, r)
     else:
         raise InvalidConfig(f"unknown mask semantics {semantics!r}")
     return MixMask(values, lam)

@@ -118,10 +118,11 @@ def shift_roll_pair(
 
 
 def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
-    """Per-sample blend: mask value 1 copies a, 0 copies b, lam interpolates.
+    """Per-sample blend m[t] * a[t] + (1 - m[t]) * b[t].
 
-    The 0/1 positions copy their source bit-exactly; lam positions evaluate
-    lam * a[t] + (1 - lam) * b[t].
+    Since the mask holds exactly {0, lam, 1}, the 0/1 positions copy their
+    source's value exactly (a zero may change sign), and lam positions
+    evaluate lam * a[t] + (1 - lam) * b[t].
     """
     if a.sample_rate != b.sample_rate:
         raise RateMismatch("cannot blend waveforms with different rates")
@@ -130,10 +131,7 @@ def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
             f"lengths differ: a={len(a)}, b={len(b)}, mask={len(mask)}"
         )
     m = mask.values
-    lam = mask.lam
-    blend = lam * a.samples + (1.0 - lam) * b.samples
-    out = np.where(m == 1.0, a.samples, np.where(m == 0.0, b.samples, blend))
-    return Waveform(out, a.sample_rate)
+    return Waveform(m * a.samples + (1.0 - m) * b.samples, a.sample_rate)
 
 
 def _pad_pair(

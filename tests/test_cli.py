@@ -1,17 +1,21 @@
 """End-to-end CLI runs: subcommands, exit codes, run-to-run determinism."""
 
+import argparse
 import hashlib
 import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 from lungmix.audio_io import read_spectrogram, read_wav, write_wav
-from lungmix.cli import EXIT_CODES, main
+from lungmix.augment import AugmentPlan
+from lungmix.cli import EXIT_CODES, build_parser, main
 from lungmix.errors import LungmixError
-from lungmix.pipeline import Spectrogram, Waveform
+from lungmix.masks import MixParams
+from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform
 
 
 def run_digest(out_dir):
@@ -228,9 +232,10 @@ class TestExitCodes:
 
 
 def augment_lungmix(corpus, out, *flags, config=None):
+    """`augment` at its default strategy, lungmix, unless config or flags say otherwise."""
     argv = [
         "augment", "--manifest", str(corpus / "corpus.jsonl"), "--out", str(out),
-        "--strategy", "lungmix", "--pairs", "2", "--seed", "7", *flags,
+        "--pairs", "2", "--seed", "7", *flags,
     ]
     if config is not None:
         path = out.parent / "run.json"
@@ -243,12 +248,29 @@ def synth_below_bandpass_rate(corpus, tmp_path):
     return main(["synth", "--out", str(tmp_path / "s"), "--duration", "3", "--sample-rate", "2000"])
 
 
-def config_error(config):
-    return lambda corpus, tmp_path: augment_lungmix(corpus, tmp_path / "o", config=config)
+def config_error(*flags, config=None):
+    """An augment run with a bad value: gives its exit code and whether --out exists."""
+
+    def run(corpus, tmp_path):
+        out = tmp_path / "o"
+        return augment_lungmix(corpus, out, *flags, config=config), out.exists()
+
+    return run
 
 
-def zero_workers(corpus, tmp_path):
-    return augment_lungmix(corpus, tmp_path / "o", "--workers", "0")
+def config_file_given(command, *argv):
+    """`command` given --config, which it does not read: gives the exit code.
+
+    The parser rejects the flag before any input is opened."""
+
+    def run(corpus, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        return exc.value.code
+
+    return run
 
 
 def output_rates_at_8khz(corpus, tmp_path):
@@ -280,10 +302,46 @@ def nan_spectrogram(corpus, tmp_path):
 # escape its exit category or leave misleading outputs
 FAULTS = [
     pytest.param(synth_below_bandpass_rate, 2, id="synth-rate-below-bandpass"),
-    pytest.param(config_error({"pipeline": {"bogus": 1}}), 2, id="unknown-pipeline-key"),
-    pytest.param(config_error({"pipeline": {"pad_mode": "zeros"}}), 2, id="removed-pipeline-key"),
-    pytest.param(config_error({"augment": {"target_rate": 16000}}), 2, id="removed-augment-key"),
-    pytest.param(zero_workers, 2, id="zero-workers"),
+    pytest.param(
+        config_error(config={"pipeline": {"bogus": 1}}), (2, False), id="unknown-pipeline-key"
+    ),
+    pytest.param(
+        config_error(config={"pipeline": {"pad_mode": "zeros"}}), (2, False),
+        id="removed-pipeline-key",
+    ),
+    pytest.param(
+        config_error(config={"augment": {"target_rate": 16000}}), (2, False),
+        id="removed-augment-key",
+    ),
+    pytest.param(config_error("--workers", "0"), (2, False), id="zero-workers"),
+    pytest.param(
+        config_error(config={"pipeline": [1]}), (2, False), id="pipeline-section-not-object"
+    ),
+    pytest.param(
+        config_error(config={"augment": "lungmix"}), (2, False), id="augment-section-not-object"
+    ),
+    pytest.param(
+        config_error(config={"augment": {"strategy": "bogus"}}), (2, False), id="bogus-strategy"
+    ),
+    pytest.param(
+        config_error(config={"augment": {"interpolation": "bogus"}}), (2, False),
+        id="bogus-interpolation",
+    ),
+    pytest.param(
+        config_error(config={"augment": {"semantics": "bogus"}}), (2, False),
+        id="bogus-semantics",
+    ),
+    pytest.param(
+        config_error(config={"augment": {"pairing": "bogus"}}), (2, False), id="bogus-pairing"
+    ),
+    pytest.param(config_error(config={"augment": {"alpha": 0}}), (2, False), id="zero-alpha"),
+    pytest.param(
+        config_file_given("eval", "--predictions", "absent.jsonl"), 2, id="eval-rejects-config"
+    ),
+    pytest.param(
+        config_file_given("inspect-mask", "--a", "a.wav", "--b", "b.wav"), 2,
+        id="inspect-mask-rejects-config",
+    ),
     pytest.param(output_rates_at_8khz, (0, {8000}), id="outputs-follow-pipeline-rate"),
     pytest.param(failed_rerun, (3, False), id="failed-rerun-leaves-no-manifest"),
     pytest.param(nan_spectrogram, ("NumericalError", 3), id="nan-spectrogram-is-data-error"),
@@ -293,3 +351,26 @@ FAULTS = [
 @pytest.mark.parametrize(("run", "expected"), FAULTS)
 def test_fault_outcomes(corpus, tmp_path, run, expected):
     assert run(corpus, tmp_path) == expected
+
+
+# dests that fill no config field; any other option's dest must be a field
+# of the class its command builds, or the flag would be dropped silently
+NON_CONFIG_DESTS = {"manifest", "out", "config", "label_maps", "infile", "csv", "file_a", "file_b"}
+
+
+@pytest.mark.parametrize(
+    ("command", "cls", "extra"),
+    [
+        # preprocess's --seed sets the top-level master_seed, not a pipeline field
+        ("preprocess", PipelineConfig, {"seed"}),
+        ("augment", AugmentPlan, set()),
+        ("inspect-mask", MixParams, set()),
+    ],
+)
+def test_option_dests_are_config_fields(command, cls, extra):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [a for a in sub.choices[command]._actions if a.dest != "help"]
+    names = {f.name for f in fields(cls)}
+    assert {a.dest for a in options} - NON_CONFIG_DESTS - extra <= names
+    # the dataclass defaults are the only defaults
+    assert all(a.default is None for a in options if a.dest in names)
