@@ -21,7 +21,7 @@ from lungmix.dataset import load_manifest, resolve_audio_path
 from lungmix.metrics import score
 from lungmix.pipeline import PipelineConfig, preprocess
 from lungmix.rng import derive_rng
-from lungmix.synth import make_corpus
+from lungmix.synth import CorpusPlan, make_corpus
 
 STRATEGIES = [
     ("none", None, None),
@@ -70,8 +70,9 @@ def main():
     out = Path(args.out)
     cfg = PipelineConfig()
 
-    train_manifest = make_corpus(out / "train", per_class=args.per_class, seed=args.seed)
-    eval_manifest = make_corpus(out / "eval", per_class=args.per_class, seed=args.seed + 1)
+    corpus = CorpusPlan(per_class=args.per_class)
+    train_manifest = make_corpus(out / "train", corpus, args.seed)
+    eval_manifest = make_corpus(out / "eval", corpus, args.seed + 1)
     train = load_manifest(train_manifest)
     held_out = load_manifest(eval_manifest)
 
@@ -87,10 +88,11 @@ def main():
                 strategy=strategy,
                 interpolation=mode,
                 n_pairs=args.pairs,
-                master_seed=args.seed,
                 pairing="cross-class",
             )
-            aug_manifest = augment_corpus(train, train_manifest, out / f"aug_{name}", plan)
+            aug_manifest = augment_corpus(
+                train, train_manifest, out / f"aug_{name}", plan, cfg, args.seed
+            )
             for rec in load_manifest(aug_manifest):
                 feats.append(features(rec, aug_manifest, cfg, args.seed))
                 labels.append(rec.label_unified)

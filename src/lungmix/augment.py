@@ -19,7 +19,7 @@ from .dataset import PAIRINGS, RecordManifest, export_augmented, pair_records, r
 from .errors import InvalidConfig
 from .labels import FOUR_CLASS, MODES, LabelVector
 from .masks import MixParams
-from .mixing import STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
+from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
 from .pipeline import (
     PipelineConfig,
     Spectrogram,
@@ -42,7 +42,6 @@ class AugmentPlan:
     semantics: str = "loudness_precedence"
     pairing: str = "uniform"
     n_pairs: int = 10
-    master_seed: int = 0
     apply_roll: bool = True
     workers: int = 1
 
@@ -148,7 +147,7 @@ def _prepare(
 
 
 def _mix_one(
-    index: int,
+    seed: int,
     pair: tuple[RecordManifest, RecordManifest],
     sources: tuple[Waveform | Spectrogram, Waveform | Spectrogram],
     plan: AugmentPlan,
@@ -156,7 +155,6 @@ def _mix_one(
 ) -> MixResult:
     rec_a, rec_b = pair
     audio_a, audio_b = sources
-    seed = derive_seed(plan.master_seed, "mix", index)
 
     rolled = offset = None
     if plan.strategy == "patchmix":
@@ -194,13 +192,19 @@ def augment_corpus(
     manifest_path,
     out_dir,
     plan: AugmentPlan,
-    pipeline_cfg: PipelineConfig = PipelineConfig(),
+    pipeline_cfg: PipelineConfig,
+    master_seed: int,
 ) -> Path:
     """Pair, mix, and export; returns the output manifest path."""
+    if plan.strategy == "patchmix" and (
+        pipeline_cfg.mel_bins % PATCH_SIZE or pipeline_cfg.frames % PATCH_SIZE
+    ):
+        raise InvalidConfig(
+            f"a {pipeline_cfg.mel_bins}x{pipeline_cfg.frames} spectrogram is not "
+            f"divisible into {PATCH_SIZE}x{PATCH_SIZE} patches"
+        )
     manifest_path = Path(manifest_path)
-    pairs = pair_records(
-        records, plan.n_pairs, plan.pairing, derive_rng(plan.master_seed, "pairing")
-    )
+    pairs = pair_records(records, plan.n_pairs, plan.pairing, derive_rng(master_seed, "pairing"))
 
     paths = [tuple(resolve_audio_path(rec, manifest_path) for rec in pair) for pair in pairs]
     store = _SourceStore(
@@ -209,12 +213,9 @@ def augment_corpus(
 
     def job(i: int) -> MixResult:
         sources = tuple(map(store.take, paths[i]))
-        return _mix_one(i, pairs[i], sources, plan, pipeline_cfg)
+        return _mix_one(derive_seed(master_seed, "mix", i), pairs[i], sources, plan, pipeline_cfg)
 
     # results are exported as they arrive, in pair order, never all held at once
-    datasets = [a.dataset for a, _ in pairs]
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            results = _in_order(pool, job, len(pairs), ahead=2 * plan.workers)
-            return export_augmented(results, out_dir, datasets=datasets)
-    return export_augmented(map(job, range(len(pairs))), out_dir, datasets=datasets)
+    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+        results = _in_order(pool, job, len(pairs), ahead=2 * plan.workers)
+        return export_augmented(results, out_dir, datasets=[a.dataset for a, _ in pairs])

@@ -11,8 +11,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_wav
 from .augment import AugmentPlan, augment_corpus
@@ -23,7 +24,7 @@ from .masks import SEMANTICS, MixParams
 from .metrics import score
 from .mixing import STRATEGIES, MixRequest, lungmix_trace
 from .pipeline import PipelineConfig, preprocess
-from .synth import make_corpus
+from .synth import CorpusPlan, make_corpus
 from .rng import derive_rng
 
 EXIT_CODES = {"config": 2, "data": 3, "io": 4}
@@ -44,86 +45,95 @@ def _load_config(path) -> dict:
     return data
 
 
+def _accepts(annotation, value) -> bool:
+    """Whether a JSON value fits a config field's annotation: `bool` is not
+    an `int`, an `int` is a `float`, and `X | None` also takes null."""
+    if get_args(annotation):
+        return any(_accepts(arm, value) for arm in get_args(annotation))
+    if isinstance(value, bool):
+        return annotation is bool
+    return isinstance(value, (int, float) if annotation is float else annotation)
+
+
 def _section(config: dict, name: str, cls, args):
     """`cls` built from the config file's `name` section, overlaid with every
     flag given on the command line whose dest is a field of `cls`."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise InvalidConfig(f"config section {name!r} must be a JSON object")
-    names = {f.name for f in fields(cls)}
-    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    try:
-        return cls(**{**section, **flags})
-    except TypeError as exc:
-        raise InvalidConfig(f"bad {name} config: {exc}") from exc
+    types = get_type_hints(cls)
+    flags = {k: v for k, v in vars(args).items() if k in types and v is not None}
+    values = {**section, **flags}
+    for key, value in values.items():
+        if key not in types:
+            raise InvalidConfig(f"bad {name} config: unknown key {key!r}")
+        if not _accepts(types[key], value):
+            kind = getattr(types[key], "__name__", types[key])
+            raise InvalidConfig(f"bad {name} config: {key} must be {kind}, got {value!r}")
+    return cls(**values)
 
 
-def _write_snapshot(out_dir: Path, command: str, resolved: dict) -> None:
-    snapshot = {"command": command, **resolved}
+def _configure(args, **classes) -> tuple[int, dict]:
+    """The run's master seed and one config object per section, built from
+    --config and the flags. Every value is checked here, before any output
+    exists; the config may hold only `command`, `master_seed` and the
+    sections of `args.command`."""
+    config = _load_config(args.config)
+    unknown = config.keys() - {"command", "master_seed", *classes}
+    if unknown:
+        raise InvalidConfig(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    if config.get("command", args.command) != args.command:
+        raise InvalidConfig(f"config is for command {config['command']!r}, not {args.command!r}")
+    seed = config.get("master_seed", 0) if args.master_seed is None else args.master_seed
+    if not _accepts(int, seed):
+        raise InvalidConfig(f"master_seed must be an integer, got {seed!r}")
+    return seed, {name: _section(config, name, cls, args) for name, cls in classes.items()}
+
+
+def _write_snapshot(out_dir: Path, command: str, seed: int, **sections) -> None:
+    """The run's resolved config, itself a --config that replays the run."""
+    snapshot = {"command": command, "master_seed": seed}
+    snapshot.update((name, asdict(cfg)) for name, cfg in sections.items())
     with open(out_dir / "config_snapshot.json", "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def cmd_preprocess(args) -> int:
-    config = _load_config(args.config)
-    cfg = _section(config, "pipeline", PipelineConfig, args)
+    seed, sections = _configure(args, pipeline=PipelineConfig)
+    wave = read_wav(args.infile)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else config.get("master_seed", 0)
 
-    wave = read_wav(args.infile)
-    processed, spec = preprocess(wave, cfg, derive_rng(seed, "preprocess"))
+    processed, spec = preprocess(wave, sections["pipeline"], derive_rng(seed, "preprocess"))
     stem = Path(args.infile).stem
     write_wav(out_dir / f"{stem}_preprocessed.wav", processed)
     write_spectrogram(out_dir / f"{stem}.spec", spec)
     if args.csv:
         write_spectrogram_csv(out_dir / f"{stem}.csv", spec)
-    _write_snapshot(out_dir, "preprocess", {"pipeline": asdict(cfg), "master_seed": seed})
+    _write_snapshot(out_dir, args.command, seed, **sections)
     print(f"wrote {stem}_preprocessed.wav and {stem}.spec to {out_dir}")
     return 0
 
 
 def cmd_augment(args) -> int:
-    config = _load_config(args.config)
-    plan = _section(config, "augment", AugmentPlan, args)
-    pipeline_cfg = _section(config, "pipeline", PipelineConfig, args)
-
+    seed, sections = _configure(args, augment=AugmentPlan, pipeline=PipelineConfig)
+    plan, pipeline_cfg = sections.values()
     maps = load_label_maps(args.label_maps) if args.label_maps else None
     records = load_manifest(args.manifest)
     records = align_records(records, maps=maps)
     out_dir = Path(args.out)
-    manifest = augment_corpus(records, args.manifest, out_dir, plan, pipeline_cfg)
-    _write_snapshot(
-        out_dir, "augment", {"augment": asdict(plan), "pipeline": asdict(pipeline_cfg)}
-    )
+    manifest = augment_corpus(records, args.manifest, out_dir, plan, pipeline_cfg, seed)
+    _write_snapshot(out_dir, args.command, seed, **sections)
     print(f"wrote {plan.n_pairs} augmented records, manifest at {manifest}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.get("master_seed", 0)
+    seed, sections = _configure(args, synth=CorpusPlan)
     out_dir = Path(args.out)
-    manifest = make_corpus(
-        out_dir,
-        per_class=args.per_class,
-        duration_s=args.duration,
-        sample_rate=args.sample_rate,
-        n_events=args.n_events,
-        seed=seed,
-    )
-    _write_snapshot(
-        out_dir,
-        "synth",
-        {
-            "per_class": args.per_class,
-            "duration_s": args.duration,
-            "sample_rate": args.sample_rate,
-            "n_events": args.n_events,
-            "master_seed": seed,
-        },
-    )
+    manifest = make_corpus(out_dir, sections["synth"], seed)
+    _write_snapshot(out_dir, args.command, seed, **sections)
     print(f"wrote synthetic corpus manifest at {manifest}")
     return 0
 
@@ -137,9 +147,12 @@ def cmd_eval(args) -> int:
                 continue
             try:
                 row = json.loads(line)
-                pairs.append((row["true"], row["predicted"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                pair = (row["true"], row["predicted"])
+                if not set(pair) <= set(FOUR_CLASS.categories()):
+                    raise ValueError(f"unknown class in {pair}")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise LungmixError(f"{path}:{lineno}: bad prediction row: {exc}") from exc
+            pairs.append(pair)
     report = score(pairs)
     print(report.format_table())
     if args.out:
@@ -191,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-low", type=float)
     p.add_argument("--band-high", type=float)
     p.add_argument("--clip-seconds", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="master_seed", type=int)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("augment", parents=[common], help="mix pairs from a manifest")
@@ -216,11 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common], help="generate the synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--per-class", type=int, default=1)
-    p.add_argument("--duration", type=float, default=9.0)
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--n-events", type=int, default=3)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--per-class", type=int)
+    p.add_argument("--duration", dest="duration_s", type=float)
+    p.add_argument("--sample-rate", type=int)
+    p.add_argument("--n-events", type=int)
+    p.add_argument("--seed", dest="master_seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score a predictions JSONL")

@@ -81,15 +81,23 @@ def default_label_maps() -> dict[str, dict[str, str]]:
 
 def load_label_maps(path) -> dict[str, dict[str, str]]:
     with open(path) as fh:
-        return load_label_maps_data(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"label maps {path} are not valid JSON: {exc}") from exc
+    return load_label_maps_data(raw)
 
 
 def load_label_maps_data(raw: dict) -> dict[str, dict[str, str]]:
     """Validate a raw label-map table; hf must never map onto 'both'."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig("label maps must be a JSON object of per-dataset tables")
     maps: dict[str, dict[str, str]] = {}
     for dataset, table in raw.items():
         if dataset not in DATASETS:
             raise InvalidConfig(f"label map for unknown dataset {dataset!r}")
+        if not isinstance(table, dict):
+            raise InvalidConfig(f"label map {dataset} must be a JSON object")
         clean = {}
         for raw_label, unified in table.items():
             if unified not in FOUR_CLASS.categories():

@@ -90,10 +90,12 @@ class PipelineConfig:
                 f"band edges must satisfy 0 < low < high < rate/2, got "
                 f"({self.band_low}, {self.band_high}) at {self.target_rate} Hz"
             )
-        if self.clip_seconds <= 0:
-            raise InvalidConfig("clip_seconds must be positive")
-        if self.norm_std <= 0:
-            raise InvalidConfig("norm_std must be positive")
+        for name in ("clip_seconds", "mel_bins", "frames", "norm_std"):
+            if getattr(self, name) <= 0:
+                raise InvalidConfig(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("window_ms", "hop_ms"):
+            if round(getattr(self, name) / 1000.0 * self.target_rate) < 1:
+                raise InvalidConfig(f"{name} must span at least one sample at {self.target_rate} Hz")
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

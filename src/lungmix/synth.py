@@ -18,6 +18,9 @@ from .labels import FOUR_CLASS
 from .pipeline import Waveform, bandpass
 from .rng import derive_rng, derive_seed
 
+# passband of the noise floor under every record
+NOISE_BAND = (50.0, 1500.0)
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -54,7 +57,7 @@ def _noise_floor(n: int, amp: float, rate: int, rng: np.random.Generator) -> np.
     white = rng.uniform(-1.0, 1.0, n) * amp
     if amp == 0.0 or n < 32:
         return white
-    shaped = bandpass(Waveform(white, rate), 50.0, 1500.0).samples
+    shaped = bandpass(Waveform(white, rate), *NOISE_BAND).samples
     return np.clip(shaped, -1.8 * shaped.std(), 1.8 * shaped.std())
 
 
@@ -129,29 +132,34 @@ def synth(spec: SynthSpec) -> tuple[Waveform, RecordManifest]:
     return Waveform(np.clip(x, -1.0, 1.0), spec.sample_rate), record
 
 
-def make_corpus(
-    out_dir,
-    per_class: int = 1,
-    duration_s: float = 9.0,
-    sample_rate: int = 16000,
-    n_events: int = 3,
-    seed: int = 0,
-    classes=FOUR_CLASS.categories(),
-) -> Path:
-    """Write per_class records of each class plus corpus.jsonl; returns its path."""
+@dataclass(frozen=True)
+class CorpusPlan:
+    """What `make_corpus` writes: per_class records of each class."""
+
+    per_class: int = 1
+    duration_s: float = 9.0
+    sample_rate: int = 16000
+    n_events: int = 3
+
+    def __post_init__(self):
+        if self.per_class < 1:
+            raise InvalidConfig(f"per_class must be at least 1, got {self.per_class}")
+        self.spec("normal", 0)  # SynthSpec checks duration, sample rate and n_events
+        if self.sample_rate / 2 <= NOISE_BAND[1]:
+            raise InvalidConfig(f"{NOISE_BAND} Hz noise band exceeds Nyquist at {self.sample_rate} Hz")
+
+    def spec(self, label: str, seed: int) -> SynthSpec:
+        return SynthSpec(label, self.duration_s, self.sample_rate, self.n_events, seed=seed)
+
+
+def make_corpus(out_dir, plan: CorpusPlan, master_seed: int) -> Path:
+    """Write the plan's records plus corpus.jsonl; returns its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for label in classes:
-        for k in range(per_class):
-            spec = SynthSpec(
-                label=label,
-                duration_s=duration_s,
-                sample_rate=sample_rate,
-                n_events=n_events,
-                seed=derive_seed(seed, label, k),
-            )
-            wave, rec = synth(spec)
+    for label in FOUR_CLASS.categories():
+        for k in range(plan.per_class):
+            wave, rec = synth(plan.spec(label, derive_seed(master_seed, label, k)))
             rec.record_id = f"synth-{label}-{k:03d}"
             rec.audio_path = f"{rec.record_id}.wav"
             write_wav(out_dir / rec.audio_path, wave)

@@ -16,8 +16,8 @@ def rng():
 @pytest.fixture(scope="session")
 def synth_corpus(tmp_path_factory):
     """One synthetic record per class plus its manifest, shared by IO tests."""
-    from lungmix.synth import make_corpus
+    from lungmix.synth import CorpusPlan, make_corpus
 
     out = tmp_path_factory.mktemp("corpus")
-    manifest = make_corpus(out, per_class=1, seed=3)
+    manifest = make_corpus(out, CorpusPlan(per_class=1), 3)
     return manifest

@@ -17,7 +17,7 @@ from lungmix.dataset import align_records, load_manifest
 from lungmix.errors import InvalidConfig, ParseError
 from lungmix.mixing import STRATEGIES
 from lungmix.pipeline import PipelineConfig
-from lungmix.synth import make_corpus
+from lungmix.synth import CorpusPlan, make_corpus
 
 
 def run_digest(out_dir):
@@ -82,7 +82,7 @@ def mixed_lengths(tmp_path_factory):
     """Two 2 s records per class; one of each class cut to 1 s, so patchmix
     at a 1.5 s clip both stores whole spectrograms and pads per pair."""
     out = tmp_path_factory.mktemp("mixed_lengths")
-    manifest = make_corpus(out, per_class=2, duration_s=2.0, n_events=2, seed=11)
+    manifest = make_corpus(out, CorpusPlan(per_class=2, duration_s=2.0, n_events=2), 11)
     for wav in sorted(out.glob("*-000.wav")):
         rate, data = wavfile.read(wav)
         wavfile.write(wav, rate, data[: rate])
@@ -113,9 +113,9 @@ def test_store_decodes_once_and_workers_agree(mixed_lengths, tmp_path, monkeypat
     digests = []
     for workers in (1, 2):
         decoded.clear()
-        plan = AugmentPlan(strategy=strategy, n_pairs=12, master_seed=5, workers=workers)
+        plan = AugmentPlan(strategy=strategy, n_pairs=12, workers=workers)
         out = tmp_path / f"w{workers}"
-        manifest = augment_corpus(records, mixed_lengths, out, plan, pipeline_cfg=cfg)
+        manifest = augment_corpus(records, mixed_lengths, out, plan, cfg, 5)
         rows = [json.loads(line) for line in manifest.read_text().splitlines()]
         used = {r["provenance"][side] for r in rows for side in ("source_a", "source_b")}
         assert len(decoded) == len(set(decoded)) == len(used)
@@ -127,7 +127,7 @@ def test_store_decodes_once_and_workers_agree(mixed_lengths, tmp_path, monkeypat
 @pytest.fixture(scope="module")
 def one_second_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("one_second")
-    manifest = make_corpus(out, per_class=1, duration_s=1.0, n_events=1, seed=2)
+    manifest = make_corpus(out, CorpusPlan(per_class=1, duration_s=1.0, n_events=1), 2)
     return manifest, align_records(load_manifest(manifest))
 
 
@@ -136,10 +136,10 @@ def test_peak_memory_does_not_grow_with_pairs(one_second_corpus, tmp_path, worke
     manifest, records = one_second_corpus
 
     def peak(n_pairs):
-        plan = AugmentPlan(n_pairs=n_pairs, master_seed=4, workers=workers)
+        plan = AugmentPlan(n_pairs=n_pairs, workers=workers)
         tracemalloc.start()
         try:
-            augment_corpus(records, manifest, tmp_path / f"p{n_pairs}", plan)
+            augment_corpus(records, manifest, tmp_path / f"p{n_pairs}", plan, PipelineConfig(), 4)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -2,20 +2,24 @@
 
 import argparse
 import hashlib
+import io
 import json
 import shutil
+from contextlib import redirect_stderr
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from lungmix import cli
 from lungmix.audio_io import read_spectrogram, read_wav, write_wav
 from lungmix.augment import AugmentPlan
 from lungmix.cli import EXIT_CODES, build_parser, main
-from lungmix.errors import LungmixError
+from lungmix.errors import InvalidConfig, LungmixError
 from lungmix.masks import MixParams
 from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform
+from lungmix.synth import CorpusPlan
 
 
 def run_digest(out_dir):
@@ -231,12 +235,17 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-def augment_lungmix(corpus, out, *flags, config=None):
-    """`augment` at its default strategy, lungmix, unless config or flags say otherwise."""
-    argv = [
-        "augment", "--manifest", str(corpus / "corpus.jsonl"), "--out", str(out),
-        "--pairs", "2", "--seed", "7", *flags,
-    ]
+# the input each command that writes artifacts reads from the shared corpus
+INPUTS = {
+    "preprocess": lambda corpus: ["--in", str(corpus / "synth-both-000.wav")],
+    "augment": lambda corpus: ["--manifest", str(corpus / "corpus.jsonl")],
+    "synth": lambda corpus: [],
+}
+
+
+def run_command(command, corpus, out, *flags, config=None):
+    """`command` on the shared corpus, with flags and, written to a file, config."""
+    argv = [command, *INPUTS[command](corpus), "--out", str(out), *flags]
     if config is not None:
         path = out.parent / "run.json"
         path.write_text(json.dumps(config))
@@ -244,18 +253,42 @@ def augment_lungmix(corpus, out, *flags, config=None):
     return main(argv)
 
 
-def synth_below_bandpass_rate(corpus, tmp_path):
-    return main(["synth", "--out", str(tmp_path / "s"), "--duration", "3", "--sample-rate", "2000"])
+def augment_lungmix(corpus, out, *flags, config=None):
+    """`augment` at its default strategy, lungmix, unless config or flags say otherwise."""
+    return run_command("augment", corpus, out, "--pairs", "2", "--seed", "7", *flags, config=config)
 
 
-def config_error(*flags, config=None):
-    """An augment run with a bad value: gives its exit code and whether --out exists."""
+def config_error(*flags, config=None, command="augment"):
+    """A run with a bad value: gives its exit code and whether --out exists."""
 
     def run(corpus, tmp_path):
         out = tmp_path / "o"
-        return augment_lungmix(corpus, out, *flags, config=config), out.exists()
+        return run_command(command, corpus, out, *flags, config=config), out.exists()
 
     return run
+
+
+def bad_label_maps(text):
+    """An augment run given a --label-maps file holding `text`."""
+
+    def run(corpus, tmp_path):
+        maps = tmp_path / "maps.json"
+        maps.write_text(text)
+        return config_error("--label-maps", str(maps))(corpus, tmp_path)
+
+    return run
+
+
+def eval_unknown_class(corpus, tmp_path):
+    """eval on predictions whose second row names no class: gives the exit
+    code, whether the error names that line, and whether --out exists."""
+    preds = tmp_path / "p.jsonl"
+    rows = [{"true": "normal", "predicted": "normal"}, {"true": "cough", "predicted": "normal"}]
+    preds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        rc = main(["eval", "--predictions", str(preds), "--out", str(tmp_path / "o")])
+    return rc, f"{preds}:2:" in err.getvalue(), (tmp_path / "o").exists()
 
 
 def config_file_given(command, *argv):
@@ -301,7 +334,10 @@ def nan_spectrogram(corpus, tmp_path):
 # (what a run does, what it must give): one row per fault that used to
 # escape its exit category or leave misleading outputs
 FAULTS = [
-    pytest.param(synth_below_bandpass_rate, 2, id="synth-rate-below-bandpass"),
+    pytest.param(
+        config_error("--duration", "3", "--sample-rate", "2000", command="synth"), (2, False),
+        id="synth-rate-below-bandpass",
+    ),
     pytest.param(
         config_error(config={"pipeline": {"bogus": 1}}), (2, False), id="unknown-pipeline-key"
     ),
@@ -345,6 +381,53 @@ FAULTS = [
     pytest.param(output_rates_at_8khz, (0, {8000}), id="outputs-follow-pipeline-rate"),
     pytest.param(failed_rerun, (3, False), id="failed-rerun-leaves-no-manifest"),
     pytest.param(nan_spectrogram, ("NumericalError", 3), id="nan-spectrogram-is-data-error"),
+    pytest.param(
+        config_error(config={"augment": {"n_pairs": 2.5}}), (2, False), id="float-n-pairs"
+    ),
+    pytest.param(
+        config_error(config={"augment": {"workers": 1.5}}), (2, False), id="float-workers"
+    ),
+    pytest.param(config_error(config={"augment": {"n_pairs": True}}), (2, False), id="bool-n-pairs"),
+    pytest.param(bad_label_maps("{broken"), (2, False), id="label-maps-not-json"),
+    pytest.param(bad_label_maps('{"icbhi": [1]}'), (2, False), id="label-map-table-not-object"),
+    pytest.param(
+        config_error(config={"pipeline": {"mel_bins": 0}}, command="preprocess"), (2, False),
+        id="zero-mel-bins",
+    ),
+    pytest.param(
+        config_error(config={"pipeline": {"window_ms": 0.01}}, command="preprocess"), (2, False),
+        id="sub-sample-window",
+    ),
+    pytest.param(
+        config_error("--in", "absent.wav", command="preprocess"), (4, False),
+        id="preprocess-absent-input",
+    ),
+    pytest.param(
+        config_error("--strategy", "patchmix", config={"pipeline": {"frames": 100}}), (2, False),
+        id="patchmix-frames-not-patch-multiple",
+    ),
+    pytest.param(eval_unknown_class, (3, True, False), id="eval-unknown-class-is-data-error"),
+    pytest.param(
+        config_error(config={"master_seed": "x"}, command="preprocess"), (2, False),
+        id="preprocess-string-master-seed",
+    ),
+    pytest.param(
+        config_error(config={"master_seed": 1.5}, command="synth"), (2, False),
+        id="synth-float-master-seed",
+    ),
+    pytest.param(
+        config_error(config={"master_seed": True}), (2, False), id="augment-bool-master-seed"
+    ),
+    pytest.param(
+        config_error(config={"augment": {"master_seed": 5}}), (2, False),
+        id="removed-augment-master-seed",
+    ),
+    pytest.param(
+        config_error(config={"augmnet": {"n_pairs": 2}}), (2, False), id="unknown-top-level-key"
+    ),
+    pytest.param(config_error(config={"command": "synth"}), (2, False), id="foreign-command"),
+    pytest.param(config_error("--per-class", "0", command="synth"), (2, False), id="synth-zero-per-class"),
+    pytest.param(config_error("--duration", "0", command="synth"), (2, False), id="synth-zero-duration"),
 ]
 
 
@@ -361,10 +444,11 @@ NON_CONFIG_DESTS = {"manifest", "out", "config", "label_maps", "infile", "csv", 
 @pytest.mark.parametrize(
     ("command", "cls", "extra"),
     [
-        # preprocess's --seed sets the top-level master_seed, not a pipeline field
-        ("preprocess", PipelineConfig, {"seed"}),
-        ("augment", AugmentPlan, set()),
+        # --seed sets the top-level master_seed, not a section field
+        ("preprocess", PipelineConfig, {"master_seed"}),
+        ("augment", AugmentPlan, {"master_seed"}),
         ("inspect-mask", MixParams, set()),
+        ("synth", CorpusPlan, {"master_seed"}),
     ],
 )
 def test_option_dests_are_config_fields(command, cls, extra):
@@ -374,3 +458,70 @@ def test_option_dests_are_config_fields(command, cls, extra):
     assert {a.dest for a in options} - NON_CONFIG_DESTS - extra <= names
     # the dataclass defaults are the only defaults
     assert all(a.default is None for a in options if a.dest in names)
+
+
+def files(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize(
+    ("command", "flags", "config"),
+    [
+        pytest.param(
+            "preprocess", ("--target-rate", "8000", "--clip-seconds", "12", "--seed", "5"), None,
+            id="preprocess",
+        ),
+        pytest.param(
+            "augment",
+            ("--pairs", "3", "--seed", "9", "--alpha", "0.5", "--pairing", "cross-class",
+             "--workers", "2"),
+            None,
+            id="augment-lungmix",
+        ),
+        pytest.param(
+            "augment", ("--strategy", "patchmix", "--mode", "combined", "--pairs", "2"),
+            {"master_seed": 9, "pipeline": {"clip_seconds": 10.0}},
+            id="augment-patchmix",
+        ),
+        pytest.param(
+            "synth",
+            ("--per-class", "2", "--duration", "3", "--sample-rate", "8000", "--n-events", "2",
+             "--seed", "4"),
+            None,
+            id="synth",
+        ),
+    ],
+)
+def test_snapshot_replays_the_run(corpus, tmp_path, command, flags, config):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_command(command, corpus, first, *flags, config=config) == 0
+    assert run_command(command, corpus, again, "--config", str(first / "config_snapshot.json")) == 0
+    assert files(again) == files(first)
+
+
+def test_config_seed_and_flag_seed_agree(corpus, tmp_path):
+    from_config, from_flag = tmp_path / "config", tmp_path / "flag"
+    assert run_command("augment", corpus, from_config, "--pairs", "3", config={"master_seed": 5}) == 0
+    assert run_command("augment", corpus, from_flag, "--pairs", "3", "--seed", "5") == 0
+    assert files(from_config) == files(from_flag)
+
+
+@pytest.mark.parametrize(
+    ("section", "cls", "values", "ok"),
+    [
+        ("augment", AugmentPlan, {"alpha": 2, "lam": None}, True),  # int for float, null
+        ("augment", AugmentPlan, {"lam": 0.5, "apply_roll": False}, True),
+        ("augment", AugmentPlan, {"n_pairs": 2.0}, False),
+        ("augment", AugmentPlan, {"apply_roll": 1}, False),
+        ("augment", AugmentPlan, {"strategy": None}, False),
+        ("pipeline", PipelineConfig, {"clip_seconds": True}, False),
+        ("pipeline", PipelineConfig, {"norm_mean": "0"}, False),
+    ],
+)
+def test_section_checks_value_types(section, cls, values, ok):
+    build = lambda: cli._section({section: values}, section, cls, argparse.Namespace())
+    if ok:
+        assert build() == cls(**values)
+    else:
+        with pytest.raises(InvalidConfig):
+            build()

@@ -7,7 +7,7 @@ from lungmix.errors import InvalidConfig
 from lungmix.labels import FOUR_CLASS
 from lungmix.masks import MixParams, loudness_mask
 from lungmix.mixing import MixRequest, lungmix
-from lungmix.synth import SynthSpec, make_corpus, synth
+from lungmix.synth import CorpusPlan, SynthSpec, make_corpus, synth
 
 
 def interval_samples(events, rate, n):
@@ -96,7 +96,7 @@ class TestLabelSoundness:
 
 class TestCorpus:
     def test_make_corpus_layout(self, tmp_path):
-        manifest = make_corpus(tmp_path, per_class=2, seed=12)
+        manifest = make_corpus(tmp_path, CorpusPlan(per_class=2), 12)
         lines = manifest.read_text().strip().splitlines()
         assert len(lines) == 8
         wavs = sorted(p.name for p in tmp_path.glob("*.wav"))
@@ -114,6 +114,6 @@ class TestCorpus:
             return h.hexdigest()
 
         a, b = tmp_path / "a", tmp_path / "b"
-        make_corpus(a, per_class=1, seed=13)
-        make_corpus(b, per_class=1, seed=13)
+        make_corpus(a, CorpusPlan(per_class=1), 13)
+        make_corpus(b, CorpusPlan(per_class=1), 13)
         assert digest(a) == digest(b)
