@@ -1,15 +1,21 @@
 """Golden output digests: fixed inputs and seeds must reproduce these bytes.
 
 A digest may change only in a commit whose CHANGES.md entry says why. The
-corpus is small (8 records of 4 s) so the whole file runs in seconds.
+corpora are small (8 records of 4 s; 4 records of at most 9.5 s; 8 records at
+44.1 and 8 kHz) so the whole file runs in seconds.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from lungmix.audio_io import write_wav
 from lungmix.cli import main
+from lungmix.dataset import RecordManifest, load_manifest, save_manifest
+from lungmix.labels import FOUR_CLASS
+from lungmix.pipeline import Waveform
 
 # (strategy, mode) -> sha256 of augmented.jsonl plus every file it lists
 AUGMENT = {
@@ -33,6 +39,18 @@ AUGMENT = {
 LUNGMIX_NO_ROLL_MAX = "8d28cb7b7b46e48072168cffb62d977b01fe6e881476f58bab92f55301e9118c"
 INSPECT_MASK_CSV = "ce6017c32bd6305ff5f54f2630701b95ee8bd1a09c2e50e583f504d730ec8a1b"
 PREPROCESS_SPEC = "f382b1b0adc883c202bec153ffe51989ba3b89828617890d8dc959938db76f67"
+
+# 16 kHz record lengths against the 9 s clip: cut; padded with 300 noise-touched
+# mel frames; padded with fewer noise-touched frames than the split floor;
+# padded with fewer noise-free frames than the floor
+PATCHMIX_SECONDS = (9.5, 6.0, 8.95, 0.05)
+PATCHMIX_PADDING = "9edd8ef988c7b773513a5b767c3b8170b02ecf62a75c9504b46e5a0e18723f04"
+# strategy -> digest over a corpus synthesized at 44.1 kHz (4 s) and 8 kHz (9.5 s)
+MIXED_RATE = {
+    "lungmix": "edfb7d46c0e0fffa5662eddaabdc03da8bc9a66413c9060edf01aa1e5ae82d0a",
+    "patchmix": "dadf2dbfe7e522ffc1b98346b9f92c3c492f09310fc1b46ef99867b6f7a7e2c9",
+}
+PREPROCESS_44K_SPEC = "03dfdf82fd6e36b0fc06b62be85382f1903a1aa003d2c9a29ba56087532443d3"
 
 
 def sha256(*blobs: bytes) -> str:
@@ -93,3 +111,65 @@ def test_preprocess_spec_digest(corpus, tmp_path):
     rc = main(["preprocess", "--in", str(corpus / "synth-both-000.wav"), "--out", str(tmp_path)])
     assert rc == 0
     assert sha256((tmp_path / "synth-both-000.spec").read_bytes()) == PREPROCESS_SPEC
+
+
+@pytest.fixture(scope="module")
+def patchmix_corpus(tmp_path_factory):
+    """One 16 kHz record of each length in PATCHMIX_SECONDS: a tone in noise."""
+    out = tmp_path_factory.mktemp("patchmix_corpus")
+    rng = np.random.default_rng(11)
+    rows = []
+    for i, (seconds, label) in enumerate(zip(PATCHMIX_SECONDS, FOUR_CLASS.categories())):
+        t = np.arange(int(round(seconds * 16000))) / 16000
+        tone = 0.3 * np.sin(2 * np.pi * (200 + 150 * i) * t) + rng.normal(0, 0.05, t.size)
+        write_wav(out / f"rec-{i}.wav", Waveform(tone, 16000))
+        rows.append(RecordManifest(
+            record_id=f"rec-{i}", audio_path=f"rec-{i}.wav", dataset="synthetic",
+            split="train", label_raw=label, label_unified=label,
+        ))
+    save_manifest(rows, out / "corpus.jsonl")
+    return out
+
+
+@pytest.fixture(scope="module")
+def mixed_rate_corpus(tmp_path_factory):
+    """`synth` at 44.1 kHz and at 8 kHz, joined under one manifest."""
+    out = tmp_path_factory.mktemp("mixed_rate_corpus")
+    rows = []
+    for rate, seconds in ((44100, "4"), (8000, "9.5")):
+        part = out / str(rate)
+        rc = main([
+            "synth", "--out", str(part), "--per-class", "1", "--duration", seconds,
+            "--sample-rate", str(rate), "--seed", "3",
+        ])
+        assert rc == 0
+        for rec in load_manifest(part / "corpus.jsonl"):
+            rec.record_id = f"{rec.record_id}-{rate}"
+            rec.audio_path = f"{rate}/{rec.audio_path}"
+            rows.append(rec)
+    save_manifest(rows, out / "corpus.jsonl")
+    return out
+
+
+def test_patchmix_padding_digest(patchmix_corpus, tmp_path):
+    out = tmp_path / "aug"
+    digest = augment(
+        patchmix_corpus, out, "--strategy", "patchmix", "--mode", "nonlinear", "--pairs", "8"
+    )
+    rows = [json.loads(line) for line in (out / "augmented.jsonl").read_text().splitlines()]
+    used = {row["provenance"][side] for row in rows for side in ("source_a", "source_b")}
+    assert used == {f"rec-{i}" for i in range(len(PATCHMIX_SECONDS))}
+    assert digest == PATCHMIX_PADDING
+
+
+@pytest.mark.parametrize("strategy", list(MIXED_RATE))
+def test_mixed_rate_digest(mixed_rate_corpus, tmp_path, strategy):
+    digest = augment(mixed_rate_corpus, tmp_path / "aug", "--strategy", strategy, "--pairs", "6")
+    assert digest == MIXED_RATE[strategy]
+
+
+def test_preprocess_44k_spec_digest(mixed_rate_corpus, tmp_path):
+    wav = mixed_rate_corpus / "44100" / "synth-both-000.wav"
+    rc = main(["preprocess", "--in", str(wav), "--out", str(tmp_path)])
+    assert rc == 0
+    assert sha256((tmp_path / "synth-both-000.spec").read_bytes()) == PREPROCESS_44K_SPEC
