@@ -2,10 +2,13 @@
 
 Each pair gets its own random stream derived from (master seed, pair index),
 so results are identical no matter how many workers run or in what order the
-pool schedules them. What is deterministic about a source record (decode,
-resample and, for patchmix, bandpass) is computed once per run by a
-`_SourceStore`; only the seeded per-pair work runs per pair. Results stream
-to the exporter in pair order, so memory does not grow with the pair count.
+pool schedules them. What is deterministic about a source record is computed
+once per run by a `_SourceStore`: decode, resample and, for patchmix, bandpass
+and the log-mel columns that padding noise cannot touch (all of them when the
+record needs no padding). Only the seeded per-pair work runs per pair; for a
+padded patchmix source that is the noise and the mel frames it overlaps.
+Results stream to the exporter in pair order, so memory does not grow with the
+pair count.
 """
 
 import threading
@@ -13,6 +16,8 @@ from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .audio_io import read_wav
 from .dataset import PAIRINGS, RecordManifest, export_augmented, pair_records, resolve_audio_path
@@ -26,6 +31,7 @@ from .pipeline import (
     Waveform,
     condition,
     featurize,
+    mel_head,
     needs_padding,
     resample,
 )
@@ -128,20 +134,39 @@ def _in_order(pool: ThreadPoolExecutor, job, n: int, ahead: int):
         yield pending.popleft().result()
 
 
-def _prepare(
-    path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig
-) -> Waveform | Spectrogram:
+@dataclass(frozen=True, eq=False)
+class _PaddedSource:
+    """A conditioned patchmix source shorter than the clip, which every pair
+    pads with its own noise, and the log-mel columns of the frames wholly
+    inside it, which that noise cannot touch (`pipeline.mel_head`)."""
+
+    wave: Waveform
+    head: np.ndarray | None
+
+    def __post_init__(self):
+        for array in (self.wave.samples, self.head):
+            if array is not None:
+                array.flags.writeable = False
+
+
+_Source = Waveform | Spectrogram | _PaddedSource
+
+
+def _prepare(path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig) -> _Source:
     """A source's deterministic preparation: decode and resample to the
-    pipeline's rate; for patchmix also bandpass, and the whole spectrogram
-    when fitting its length draws no padding noise. Its array is read-only,
-    since every pair that takes it shares it."""
+    pipeline's rate. For patchmix also bandpass, then the whole normalised
+    spectrogram when fitting its length draws no padding noise; otherwise a
+    `_PaddedSource`, whose cached columns leave a pair to compute only the
+    frames its noise overlaps. Its arrays are read-only, since every pair
+    that takes it shares them."""
     audio = read_wav(path)
     if plan.strategy != "patchmix":
         audio = resample(audio, pipeline_cfg.target_rate)
     else:
         audio = condition(audio, pipeline_cfg)
-        if not needs_padding(audio, pipeline_cfg):
-            audio = featurize(audio, pipeline_cfg)[1]
+        if needs_padding(audio, pipeline_cfg):
+            return _PaddedSource(audio, mel_head(audio, pipeline_cfg))
+        audio = featurize(audio, pipeline_cfg)[1]
     (audio.bins if isinstance(audio, Spectrogram) else audio.samples).flags.writeable = False
     return audio
 
@@ -149,7 +174,7 @@ def _prepare(
 def _mix_one(
     seed: int,
     pair: tuple[RecordManifest, RecordManifest],
-    sources: tuple[Waveform | Spectrogram, Waveform | Spectrogram],
+    sources: tuple[_Source, _Source],
     plan: AugmentPlan,
     pipeline_cfg: PipelineConfig,
 ) -> MixResult:
@@ -159,10 +184,11 @@ def _mix_one(
     rolled = offset = None
     if plan.strategy == "patchmix":
         # a stored spectrogram needed no padding; otherwise pad with this pair's noise
-        if isinstance(audio_a, Waveform):
-            audio_a = featurize(audio_a, pipeline_cfg, derive_rng(seed, "prep", "a"))[1]
-        if isinstance(audio_b, Waveform):
-            audio_b = featurize(audio_b, pipeline_cfg, derive_rng(seed, "prep", "b"))[1]
+        audio_a, audio_b = (
+            featurize(s.wave, pipeline_cfg, derive_rng(seed, "prep", side), s.head)[1]
+            if isinstance(s, _PaddedSource) else s
+            for s, side in zip(sources, "ab")
+        )
     elif plan.apply_roll and plan.strategy == "lungmix":
         # rolling diversifies the lungmix pair; the plain baselines stay unrolled
         audio_a, audio_b, rolled, offset = shift_roll_pair(

@@ -10,7 +10,11 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 I/O error.
 import argparse
 import csv
 import json
+import os
+import re
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -28,6 +32,9 @@ from .synth import CorpusPlan, make_corpus
 from .rng import derive_rng
 
 EXIT_CODES = {"config": 2, "data": 3, "io": 4}
+
+# what `export_augmented` and `_write_snapshot` leave in an augment run's --out
+_AUGMENT_OUTPUT = re.compile(r"augmented\.jsonl|config_snapshot\.json|aug-\d{5,}\.(wav|spec)")
 
 
 def _load_config(path) -> dict:
@@ -116,6 +123,36 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+@contextmanager
+def _staged(out_dir: Path):
+    """A new directory beside `out_dir` that replaces it once the block
+    finishes, and is removed if the block fails.
+
+    `out_dir` may be absent, or hold only a previous augment run's files; its
+    manifest is removed first, so a directory holds a manifest only when its
+    last run finished. Any other file in it is a config error, so that no
+    file but an augment run's own is ever deleted.
+    """
+    out_dir = out_dir.resolve()
+    if out_dir.exists():
+        foreign = sorted(p.name for p in out_dir.iterdir() if not _AUGMENT_OUTPUT.fullmatch(p.name))
+        if foreign:
+            raise InvalidConfig(f"--out {out_dir} holds files augment did not write: {foreign[:3]}")
+        (out_dir / "augmented.jsonl").unlink(missing_ok=True)
+    stage = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
+    old = out_dir.with_name(f".{out_dir.name}.old-{os.getpid()}")
+    stage.mkdir(parents=True)
+    try:
+        yield stage
+        if out_dir.exists():
+            out_dir.rename(old)
+        stage.rename(out_dir)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def cmd_augment(args) -> int:
     seed, sections = _configure(args, augment=AugmentPlan, pipeline=PipelineConfig)
     plan, pipeline_cfg = sections.values()
@@ -123,9 +160,10 @@ def cmd_augment(args) -> int:
     records = load_manifest(args.manifest)
     records = align_records(records, maps=maps)
     out_dir = Path(args.out)
-    manifest = augment_corpus(records, args.manifest, out_dir, plan, pipeline_cfg, seed)
-    _write_snapshot(out_dir, args.command, seed, **sections)
-    print(f"wrote {plan.n_pairs} augmented records, manifest at {manifest}")
+    with _staged(out_dir) as stage:
+        manifest = augment_corpus(records, args.manifest, stage, plan, pipeline_cfg, seed)
+        _write_snapshot(stage, args.command, seed, **sections)
+    print(f"wrote {plan.n_pairs} augmented records, manifest at {out_dir / manifest.name}")
     return 0
 
 

@@ -217,17 +217,17 @@ def patchmix(
         raise ShapeMismatch(
             f"shape {s_a.bins.shape} not divisible into {PATCH_SIZE}x{PATCH_SIZE} patches"
         )
-    grid_c = cols // PATCH_SIZE
-    n_patches = (rows // PATCH_SIZE) * grid_c
+    grid_r, grid_c = rows // PATCH_SIZE, cols // PATCH_SIZE
+    n_patches = grid_r * grid_c
     n_replace = int(round((1.0 - lam) * n_patches))
-    chosen = rng.choice(n_patches, size=n_replace, replace=False)
+    swap = np.zeros(n_patches, dtype=bool)
+    swap[rng.choice(n_patches, size=n_replace, replace=False)] = True
     out = s_a.bins.copy()
-    for idx in chosen:
-        r = (idx // grid_c) * PATCH_SIZE
-        c = (idx % grid_c) * PATCH_SIZE
-        out[r : r + PATCH_SIZE, c : c + PATCH_SIZE] = s_b.bins[
-            r : r + PATCH_SIZE, c : c + PATCH_SIZE
-        ]
+    # patch (i, j) of the grid is [i, :, j, :] of the (grid_r, P, grid_c, P) view
+    patches = (grid_r, PATCH_SIZE, grid_c, PATCH_SIZE)
+    np.copyto(
+        out.reshape(patches), s_b.bins.reshape(patches), where=swap.reshape(grid_r, 1, grid_c, 1)
+    )
     return Spectrogram(out), 1.0 - n_replace / n_patches
 
 

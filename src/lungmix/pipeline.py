@@ -195,42 +195,78 @@ def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
-def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
+# OpenBLAS rounds a `power @ fb.T` of a few rows differently from the same
+# rows inside a larger product (seen at up to 9 rows x 128 mel bins); pieces of
+# at least this many elements matched it with a wide margin. A spectrogram is
+# split into cached and per-pair columns only where both pieces are this big.
+SPLIT_MIN_ELEMENTS = 4096
+
+
+def _framing(cfg: PipelineConfig) -> tuple[int, int, int]:
+    """Window, hop and FFT length in samples at `cfg.target_rate`."""
+    win = int(round(cfg.window_ms / 1000.0 * cfg.target_rate))
+    hop = int(round(cfg.hop_ms / 1000.0 * cfg.target_rate))
+    n_fft = 1
+    while n_fft < win:
+        n_fft *= 2
+    return win, hop, n_fft
+
+
+def _frame_count(n_samples: int, cfg: PipelineConfig) -> int:
+    """Frames of `cfg` that lie wholly inside `n_samples`, at most `cfg.frames`."""
+    win, hop, _ = _framing(cfg)
+    return 0 if n_samples < win else min((n_samples - win) // hop + 1, cfg.frames)
+
+
+def _log_mel(x: np.ndarray, cfg: PipelineConfig, start: int, stop: int) -> np.ndarray:
+    """Log-mel columns of frames [start, stop) of `x`, (cfg.mel_bins, stop - start)."""
+    win, hop, n_fft = _framing(cfg)
+    idx = np.arange(win)[None, :] + hop * np.arange(start, stop)[:, None]
+    frames = x[idx] * np.hanning(win)[None, :]
+    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+    mel_power = power @ _cached_filterbank(cfg.mel_bins, n_fft, cfg.target_rate).T
+    return np.log(np.maximum(mel_power, POWER_FLOOR)).T
+
+
+def mel_spectrogram(
+    w: Waveform, cfg: PipelineConfig, head: np.ndarray | None = None
+) -> Spectrogram:
     """Log-mel spectrogram with exactly (cfg.mel_bins, cfg.frames) bins.
 
     Frames past the end of the signal are filled with log(POWER_FLOOR), the
     value a zero-energy frame produces, so padding is indistinguishable from
-    silence.
+    silence. `head`, from `mel_head` on the unpadded waveform, supplies the
+    leading columns as they are; only the frames after it are computed.
     """
     if w.sample_rate != cfg.target_rate:
         raise InvalidConfig(
             f"expected {cfg.target_rate} Hz input, got {w.sample_rate} Hz"
         )
-    win = int(round(cfg.window_ms / 1000.0 * w.sample_rate))
-    hop = int(round(cfg.hop_ms / 1000.0 * w.sample_rate))
-    if win <= 0 or hop <= 0:
-        raise InvalidConfig("window and hop must be positive")
-    n_fft = 1
-    while n_fft < win:
-        n_fft *= 2
-
-    x = w.samples
-    n_frames_raw = 0 if len(x) < win else (len(x) - win) // hop + 1
-    n_frames = min(n_frames_raw, cfg.frames)
-
-    window = np.hanning(win)
-    fb = _cached_filterbank(cfg.mel_bins, n_fft, w.sample_rate)
-
-    floor_value = np.log(POWER_FLOOR)
-    bins = np.full((cfg.mel_bins, cfg.frames), floor_value)
-    if n_frames > 0:
-        idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-        frames = x[idx] * window[None, :]
-        power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-        mel_power = power @ fb.T  # (frames, mel_bins)
-        bins[:, :n_frames] = np.log(np.maximum(mel_power, POWER_FLOOR)).T
-
+    bins = np.full((cfg.mel_bins, cfg.frames), np.log(POWER_FLOOR))
+    start = 0
+    if head is not None:
+        start = head.shape[1]
+        bins[:, :start] = head
+    stop = _frame_count(len(w), cfg)
+    bins[:, start:stop] = _log_mel(w.samples, cfg, start, stop)
     return Spectrogram(bins)
+
+
+def mel_head(w: Waveform, cfg: PipelineConfig) -> np.ndarray | None:
+    """The log-mel columns of `w` that padding it to the clip length cannot
+    change, for `mel_spectrogram`'s `head`.
+
+    These are the frames wholly inside `w`, less any that would leave fewer
+    than the floor (SPLIT_MIN_ELEMENTS / mel_bins frames) to compute after
+    them. None when the head itself would be shorter than the floor.
+    """
+    floor = -(-SPLIT_MIN_ELEMENTS // cfg.mel_bins)
+    clip = int(round(cfg.clip_seconds * cfg.target_rate))
+    split = min(_frame_count(len(w), cfg), _frame_count(clip, cfg) - floor)
+    if split < floor:
+        return None
+    win, hop, _ = _framing(cfg)
+    return mel_spectrogram(pad_to_length(w, hop * (split - 1) + win), cfg).bins[:, :split]
 
 
 def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogram:
@@ -252,12 +288,15 @@ def needs_padding(w: Waveform, cfg: PipelineConfig) -> bool:
 
 
 def featurize(
-    w: Waveform, cfg: PipelineConfig, rng: np.random.Generator | None = None
+    w: Waveform,
+    cfg: PipelineConfig,
+    rng: np.random.Generator | None = None,
+    head: np.ndarray | None = None,
 ) -> tuple[Waveform, Spectrogram]:
     """The tail of `preprocess` on a conditioned waveform: fit length ->
-    log-mel -> normalize."""
+    log-mel -> normalize. `head` is `mel_head(w, cfg)`, if already known."""
     out = fit_length(w, cfg.clip_seconds, rng)
-    spec = mel_spectrogram(out, cfg)
+    spec = mel_spectrogram(out, cfg, head)
     return out, normalize_spectrogram(spec, cfg.norm_mean, cfg.norm_std)
 
 

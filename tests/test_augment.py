@@ -8,15 +8,18 @@ import time
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.io import wavfile
 
 from lungmix import augment
+from lungmix.audio_io import read_wav, write_wav
 from lungmix.augment import AugmentPlan, augment_corpus
 from lungmix.dataset import align_records, load_manifest
 from lungmix.errors import InvalidConfig, ParseError
 from lungmix.mixing import STRATEGIES
-from lungmix.pipeline import PipelineConfig
+from lungmix.pipeline import PipelineConfig, Waveform, condition, featurize
+from lungmix.rng import derive_rng
 from lungmix.synth import CorpusPlan, make_corpus
 
 
@@ -122,6 +125,24 @@ def test_store_decodes_once_and_workers_agree(mixed_lengths, tmp_path, monkeypat
         assert len(stores[-1]) == 0
         digests.append(run_digest(out))
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize(
+    ("seconds", "cached"), [(6.0, 598), (8.95, 866), (0.05, None)], ids=["6s", "8.95s", "0.05s"]
+)
+def test_stored_padded_source_gives_featurize_bytes(tmp_path, seconds, cached):
+    """A padded patchmix source's cached columns plus a pair's noise give the
+    bytes `featurize` gives on the uncached waveform with that noise."""
+    path = tmp_path / "short.wav"
+    rng = np.random.default_rng(3)
+    write_wav(path, Waveform(rng.normal(0, 0.1, int(round(seconds * 16000))), 16000))
+    cfg = PipelineConfig()
+    source = augment._prepare(path, AugmentPlan(strategy="patchmix"), cfg)
+    assert (None if source.head is None else source.head.shape[1]) == cached
+    for seed in (1, 2):
+        stored = featurize(source.wave, cfg, derive_rng(seed, "prep", "a"), source.head)[1]
+        whole = featurize(condition(read_wav(path), cfg), cfg, derive_rng(seed, "prep", "a"))[1]
+        assert stored.bins.tobytes() == whole.bins.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -312,16 +312,41 @@ def output_rates_at_8khz(corpus, tmp_path):
     return rc, {wavfile.read(wav)[0] for wav in out.glob("*.wav")}
 
 
+def make_stereo(wav):
+    wavfile.write(wav, 16000, np.stack([read_wav(wav).samples] * 2, axis=1).astype(np.float32))
+
+
 def failed_rerun(corpus, tmp_path):
     """A rerun into a finished run's directory that fails partway through."""
     out = tmp_path / "o"
     assert augment_lungmix(corpus, out) == 0
     broken = tmp_path / "broken"
     shutil.copytree(corpus, broken)
-    wav = broken / "synth-wheeze-000.wav"
-    wavfile.write(wav, 16000, np.stack([read_wav(wav).samples] * 2, axis=1).astype(np.float32))
+    make_stereo(broken / "synth-wheeze-000.wav")
     rc = augment_lungmix(broken, out, "--pairs", "8", "--seed", "8")
     return rc, (out / "augmented.jsonl").exists()
+
+
+def failed_midway(corpus, tmp_path):
+    """A first run whose 13th pair meets a stereo record: gives the exit code,
+    what is left beside the corpus and every aug-* file anywhere."""
+    broken = tmp_path / "broken"
+    plan = ["--per-class", "2", "--duration", "2", "--n-events", "2"]
+    assert main(["synth", "--out", str(broken), *plan]) == 0
+    make_stereo(broken / "synth-wheeze-001.wav")
+    rc = augment_lungmix(broken, tmp_path / "o", "--pairs", "40", "--seed", "1")
+    left = sorted(p.name for p in tmp_path.iterdir())
+    return rc, left, sorted(p.name for p in tmp_path.rglob("aug-*"))
+
+
+def foreign_file_in_out(corpus, tmp_path):
+    """An augment run whose --out holds a file augment did not write: gives
+    the exit code and what --out holds afterwards."""
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("keep me")
+    rc = augment_lungmix(corpus, out)
+    return rc, sorted(p.name for p in out.iterdir())
 
 
 def nan_spectrogram(corpus, tmp_path):
@@ -380,6 +405,8 @@ FAULTS = [
     ),
     pytest.param(output_rates_at_8khz, (0, {8000}), id="outputs-follow-pipeline-rate"),
     pytest.param(failed_rerun, (3, False), id="failed-rerun-leaves-no-manifest"),
+    pytest.param(failed_midway, (3, ["broken"], []), id="failed-run-leaves-no-output"),
+    pytest.param(foreign_file_in_out, (2, ["notes.txt"]), id="out-holds-foreign-file"),
     pytest.param(nan_spectrogram, ("NumericalError", 3), id="nan-spectrogram-is-data-error"),
     pytest.param(
         config_error(config={"augment": {"n_pairs": 2.5}}), (2, False), id="float-n-pairs"
@@ -497,6 +524,16 @@ def test_snapshot_replays_the_run(corpus, tmp_path, command, flags, config):
     assert run_command(command, corpus, first, *flags, config=config) == 0
     assert run_command(command, corpus, again, "--config", str(first / "config_snapshot.json")) == 0
     assert files(again) == files(first)
+
+
+def test_rerun_with_fewer_pairs_leaves_no_stale_files(corpus, tmp_path):
+    out = tmp_path / "o"
+    assert augment_lungmix(corpus, out, "--pairs", "4") == 0
+    assert augment_lungmix(corpus, out, "--pairs", "2") == 0
+    assert sorted(files(out)) == [
+        "aug-00000.wav", "aug-00001.wav", "augmented.jsonl", "config_snapshot.json",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
 
 
 def test_config_seed_and_flag_seed_agree(corpus, tmp_path):

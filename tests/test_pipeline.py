@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lungmix import pipeline
 from lungmix.errors import EmptyAudio, InvalidConfig, NumericalError
 from lungmix.pipeline import (
     PipelineConfig,
@@ -14,6 +15,7 @@ from lungmix.pipeline import (
     condition,
     featurize,
     fit_length,
+    mel_head,
     mel_spectrogram,
     normalize_spectrogram,
     pad_to_length,
@@ -203,8 +205,6 @@ class TestMelSpectrogram:
             mel_spectrogram(w, self.CFG)
 
     def test_filterbank_built_once_per_setting(self, rng, monkeypatch):
-        import lungmix.pipeline as pipeline
-
         built = []
         real = pipeline.mel_filterbank
 
@@ -219,6 +219,37 @@ class TestMelSpectrogram:
         first = mel_spectrogram(w, cfg)
         assert np.array_equal(mel_spectrogram(w, cfg).bins, first.bins)
         assert len(built) == 1
+
+
+class TestMelHead:
+    """`mel_head` columns stitched to the frames after them, as `featurize`
+    does for a padded source, equal the spectrogram computed whole."""
+
+    @pytest.mark.parametrize("mel_bins", [128, 64, 32])
+    def test_stitch_equals_whole_at_every_split_taken(self, rng, mel_bins):
+        cfg = PipelineConfig(mel_bins=mel_bins, clip_seconds=3.0)
+        win, hop = 400, 160
+        clip = Waveform(rng.standard_normal(48000) * 0.1, 16000)
+        whole = mel_spectrogram(clip, cfg).bins
+        n = (len(clip) - win) // hop + 1
+        floor = -(-pipeline.SPLIT_MIN_ELEMENTS // mel_bins)
+        taken = set()
+        # every split with either piece 1-64 frames, and both at the floor: a
+        # record of k frames, padded by the rest of `clip`
+        for k in [*range(1, 65), *range(n - 64, n), floor, n - floor]:
+            record = Waveform(clip.samples[: hop * (k - 1) + win], 16000)
+            head = mel_head(record, cfg)
+            if k < floor:
+                assert head is None
+                continue
+            assert head.shape[1] == min(k, n - floor)
+            taken.add(head.shape[1])
+            assert np.array_equal(mel_spectrogram(clip, cfg, head).bins, whole)
+        assert min(taken) == floor and max(taken) == n - floor
+
+    def test_no_head_when_the_clip_has_too_few_frames(self, rng):
+        cfg = PipelineConfig(clip_seconds=0.5)  # 48 frames, floor 32 each side
+        assert mel_head(Waveform(rng.standard_normal(6000) * 0.1, 16000), cfg) is None
 
 
 class TestNormalizeSpectrogram:
