@@ -37,10 +37,14 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav(path, w: Waveform) -> None:
-    """Write 16-bit PCM; samples are clipped to [-1, 1] before quantization."""
-    scaled = np.round(np.clip(w.samples, -1.0, 1.0) * 32768.0)
-    pcm = np.clip(scaled, -32768, 32767).astype(np.int16)
-    wavfile.write(Path(path), w.sample_rate, pcm)
+    """Write 16-bit PCM: samples are scaled by 2**15, rounded half to even and
+    clipped to [-32768, 32767], so values beyond [-1, 1] saturate."""
+    # scaling by a power of two is exact, so this matches clip -> round -> clip;
+    # a sample past 2**1009 scales to inf, which clips like any other
+    with np.errstate(over="ignore"):
+        pcm = np.rint(w.samples * 32768.0)
+    np.clip(pcm, -32768, 32767, out=pcm)
+    wavfile.write(Path(path), w.sample_rate, pcm.astype(np.int16))
 
 
 def write_spectrogram(path, s: Spectrogram) -> None:

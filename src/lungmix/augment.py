@@ -3,10 +3,12 @@
 Each pair gets its own random stream derived from (master seed, pair index),
 so results are identical no matter how many workers run or in what order the
 pool schedules them. What is deterministic about a source record is computed
-once per run by a `_SourceStore`: decode, resample and, for patchmix, bandpass
-and the log-mel columns that padding noise cannot touch (all of them when the
-record needs no padding). Only the seeded per-pair work runs per pair; for a
-padded patchmix source that is the noise and the mel frames it overlaps.
+once per run by a `_SourceStore`: decode and resample; for lungmix, the
+loudness mask; for patchmix, bandpass and the log-mel columns that padding
+noise cannot touch (all of them when the record needs no padding). Only the
+seeded per-pair work runs per pair: for lungmix, the roll, which rolls the
+stored mask with its waveform; for a padded patchmix source, the noise and the
+mel frames it overlaps.
 Results stream to the exporter in pair order, so memory does not grow with the
 pair count.
 """
@@ -23,7 +25,7 @@ from .audio_io import read_wav
 from .dataset import PAIRINGS, RecordManifest, export_augmented, pair_records, resolve_audio_path
 from .errors import InvalidConfig
 from .labels import FOUR_CLASS, MODES, LabelVector
-from .masks import MixParams
+from .masks import MixParams, loudness_mask
 from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
 from .pipeline import (
     PipelineConfig,
@@ -134,6 +136,12 @@ def _in_order(pool: ThreadPoolExecutor, job, n: int, ahead: int):
         yield pending.popleft().result()
 
 
+def _read_only(*arrays: np.ndarray | None) -> None:
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class _PaddedSource:
     """A conditioned patchmix source shorter than the clip, which every pair
@@ -144,24 +152,37 @@ class _PaddedSource:
     head: np.ndarray | None
 
     def __post_init__(self):
-        for array in (self.wave.samples, self.head):
-            if array is not None:
-                array.flags.writeable = False
+        _read_only(self.wave.samples, self.head)
 
 
-_Source = Waveform | Spectrogram | _PaddedSource
+@dataclass(frozen=True, eq=False)
+class _LoudSource:
+    """A resampled lungmix source and its `loudness_mask`, which a pair rolls
+    along with the waveform instead of recomputing it."""
+
+    wave: Waveform
+    loud: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.wave.samples, self.loud)
+
+
+_Source = Waveform | Spectrogram | _PaddedSource | _LoudSource
 
 
 def _prepare(path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig) -> _Source:
     """A source's deterministic preparation: decode and resample to the
-    pipeline's rate. For patchmix also bandpass, then the whole normalised
-    spectrogram when fitting its length draws no padding noise; otherwise a
-    `_PaddedSource`, whose cached columns leave a pair to compute only the
-    frames its noise overlaps. Its arrays are read-only, since every pair
-    that takes it shares them."""
+    pipeline's rate. For lungmix also the loudness mask, as a `_LoudSource`.
+    For patchmix also bandpass, then the whole normalised spectrogram when
+    fitting its length draws no padding noise; otherwise a `_PaddedSource`,
+    whose cached columns leave a pair to compute only the frames its noise
+    overlaps. Its arrays are read-only, since every pair that takes it shares
+    them."""
     audio = read_wav(path)
     if plan.strategy != "patchmix":
         audio = resample(audio, pipeline_cfg.target_rate)
+        if plan.strategy == "lungmix":
+            return _LoudSource(audio, loudness_mask(audio))
     else:
         audio = condition(audio, pipeline_cfg)
         if needs_padding(audio, pipeline_cfg):
@@ -181,7 +202,7 @@ def _mix_one(
     rec_a, rec_b = pair
     audio_a, audio_b = sources
 
-    rolled = offset = None
+    rolled = offset = loudness = None
     if plan.strategy == "patchmix":
         # a stored spectrogram needed no padding; otherwise pad with this pair's noise
         audio_a, audio_b = (
@@ -189,11 +210,17 @@ def _mix_one(
             if isinstance(s, _PaddedSource) else s
             for s, side in zip(sources, "ab")
         )
-    elif plan.apply_roll and plan.strategy == "lungmix":
-        # rolling diversifies the lungmix pair; the plain baselines stay unrolled
-        audio_a, audio_b, rolled, offset = shift_roll_pair(
-            audio_a, audio_b, derive_rng(seed, "roll")
-        )
+    elif plan.strategy == "lungmix":
+        audio_a, audio_b = (s.wave for s in sources)
+        loudness = [s.loud for s in sources]
+        if plan.apply_roll:
+            # rolling diversifies the lungmix pair; the plain baselines stay unrolled
+            audio_a, audio_b, rolled, offset = shift_roll_pair(
+                audio_a, audio_b, derive_rng(seed, "roll")
+            )
+            side = "ab".index(rolled)
+            loudness[side] = np.roll(loudness[side], offset)
+        loudness = tuple(loudness)
     req = MixRequest(
         audio_a=audio_a,
         label_a=_label_of(rec_a),
@@ -204,6 +231,7 @@ def _mix_one(
         interpolation=plan.interpolation,
         id_a=rec_a.record_id,
         id_b=rec_b.record_id,
+        loudness=loudness,
     )
     result = mix(req)
     if rolled is not None:

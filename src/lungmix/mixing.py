@@ -28,6 +28,8 @@ class MixRequest:
     """Two labelled sources plus how to mix them.
 
     patchmix mixes spectrograms; every other strategy mixes waveforms.
+    `loudness`, lungmix only, holds `loudness_mask` of each source when the
+    caller already has them; otherwise the kernel computes them.
     """
 
     audio_a: Waveform | Spectrogram
@@ -39,6 +41,7 @@ class MixRequest:
     interpolation: str = "nonlinear"
     id_a: str = ""
     id_b: str = ""
+    loudness: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -55,6 +58,11 @@ class MixRequest:
                 f"sources differ in rate: {self.audio_a.sample_rate} vs "
                 f"{self.audio_b.sample_rate} Hz"
             )
+        if self.loudness is not None:
+            if self.strategy != "lungmix":
+                raise InvalidConfig(f"strategy {self.strategy!r} takes no loudness masks")
+            if [m.shape for m in self.loudness] != [(len(self.audio_a),), (len(self.audio_b),)]:
+                raise ShapeMismatch("loudness masks must match their sources' lengths")
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,11 @@ def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
             f"lengths differ: a={len(a)}, b={len(b)}, mask={len(mask)}"
         )
     m = mask.values
-    return Waveform(m * a.samples + (1.0 - m) * b.samples, a.sample_rate)
+    out = m * a.samples
+    rest = 1.0 - m
+    rest *= b.samples
+    out += rest
+    return Waveform(out, a.sample_rate)
 
 
 def _pad_pair(
@@ -146,14 +158,20 @@ def _pad_pair(
 
 
 def _lungmix_masks(
-    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
+    a: Waveform,
+    b: Waveform,
+    lam: float,
+    rng: np.random.Generator,
+    params: MixParams,
+    loudness: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LungmixTrace:
     """The lungmix kernel with every intermediate mask kept.
 
     Loudness statistics are taken on the unpadded sources, and padded
-    positions never count as loud.
+    positions never count as loud. `loudness` supplies the sources'
+    `loudness_mask`s; they are computed here only when it is None.
     """
-    loud_a, loud_b = loudness_mask(a), loudness_mask(b)
+    loud_a, loud_b = (loudness_mask(a), loudness_mask(b)) if loudness is None else loudness
     a, b = _pad_pair(a, b, rng)
     n = len(a)
     mask_a = np.concatenate([loud_a, np.zeros(n - loud_a.size, dtype=bool)])
@@ -165,11 +183,16 @@ def _lungmix_masks(
 
 
 def lungmix_kernel(
-    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
+    a: Waveform,
+    b: Waveform,
+    lam: float,
+    rng: np.random.Generator,
+    params: MixParams,
+    loudness: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Waveform, float]:
     """Mask-based blend: loud events of either source blend, the rest is split
     between the sources by a Bernoulli mask."""
-    return _lungmix_masks(a, b, lam, rng, params).mixed, lam
+    return _lungmix_masks(a, b, lam, rng, params, loudness).mixed, lam
 
 
 def mixup_kernel(
@@ -259,7 +282,8 @@ def mix(req: MixRequest) -> MixResult:
         "patchmix": patchmix,
     }[req.strategy]
     rng, lam = _draw_lambda(req)
-    audio, lam_eff = kernel(req.audio_a, req.audio_b, lam, rng, req.params)
+    known = {} if req.loudness is None else {"loudness": req.loudness}
+    audio, lam_eff = kernel(req.audio_a, req.audio_b, lam, rng, req.params, **known)
     interp = interpolate_label(req.label_a, req.label_b, lam_eff, req.interpolation)
     label = interp.hard
     if label is None:
@@ -287,4 +311,4 @@ def lungmix_trace(req: MixRequest) -> LungmixTrace:
     if req.strategy != "lungmix":
         raise InvalidConfig(f"expected strategy 'lungmix', got {req.strategy!r}")
     rng, lam = _draw_lambda(req)
-    return _lungmix_masks(req.audio_a, req.audio_b, lam, rng, req.params)
+    return _lungmix_masks(req.audio_a, req.audio_b, lam, rng, req.params, req.loudness)

@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, resample_poly, sosfiltfilt
 
 from .errors import EmptyAudio, InvalidConfig, NumericalError
@@ -201,6 +202,9 @@ def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
 # split into cached and per-pair columns only where both pieces are this big.
 SPLIT_MIN_ELEMENTS = 4096
 
+# frames windowed and transformed together by `_log_mel`
+FFT_BLOCK_ROWS = 64
+
 
 def _framing(cfg: PipelineConfig) -> tuple[int, int, int]:
     """Window, hop and FFT length in samples at `cfg.target_rate`."""
@@ -220,12 +224,22 @@ def _frame_count(n_samples: int, cfg: PipelineConfig) -> int:
 
 def _log_mel(x: np.ndarray, cfg: PipelineConfig, start: int, stop: int) -> np.ndarray:
     """Log-mel columns of frames [start, stop) of `x`, (cfg.mel_bins, stop - start)."""
+    if stop <= start:
+        return np.empty((cfg.mel_bins, 0))
     win, hop, n_fft = _framing(cfg)
-    idx = np.arange(win)[None, :] + hop * np.arange(start, stop)[:, None]
-    frames = x[idx] * np.hanning(win)[None, :]
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+    # a strided view of the frames, windowed and transformed a block of rows
+    # at a time: each row's FFT is independent of the others, and temporaries
+    # this small are reused from the heap instead of being mapped afresh
+    frames = sliding_window_view(x, win)[hop * start : hop * (stop - 1) + 1 : hop]
+    window = np.hanning(win)
+    power = np.empty((stop - start, n_fft // 2 + 1))
+    for i in range(0, stop - start, FFT_BLOCK_ROWS):
+        rows = slice(i, i + FFT_BLOCK_ROWS)
+        np.abs(np.fft.rfft(frames[rows] * window, n=n_fft, axis=1), out=power[rows])
+    np.square(power, out=power)
     mel_power = power @ _cached_filterbank(cfg.mel_bins, n_fft, cfg.target_rate).T
-    return np.log(np.maximum(mel_power, POWER_FLOOR)).T
+    np.maximum(mel_power, POWER_FLOOR, out=mel_power)
+    return np.log(mel_power, out=mel_power).T
 
 
 def mel_spectrogram(
@@ -273,7 +287,9 @@ def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogra
     """Elementwise (x - mean) / std."""
     if std <= 0:
         raise InvalidConfig(f"std must be positive, got {std}")
-    return Spectrogram((s.bins - mean) / std)
+    out = s.bins - mean
+    out /= std
+    return Spectrogram(out)
 
 
 def condition(w: Waveform, cfg: PipelineConfig) -> Waveform:

@@ -29,6 +29,22 @@ def test_wav_roundtrip_within_quantization(tmp_path, rng):
     assert back.sample_rate == 16000
     assert np.max(np.abs(back.samples - w.samples)) <= 0.5 / 32768
 
+@pytest.mark.parametrize(
+    "value",
+    [1.0, -1.0, 1 + 1e-9, -1 - 1e-9, 0.5 / 32768, -0.5 / 32768, 1.5 / 32768, -1.5 / 32768,
+     -0.0, 0.0, 1e308, -1e308],
+)
+def test_pcm_encoding_matches_clip_round_clip(tmp_path, value):
+    """Scaling by 2**15 is exact, so clipping the scaled value gives the int16
+    of clipping to [-1, 1], rounding half to even, then clipping again."""
+    path = tmp_path / "t.wav"
+    write_wav(path, Waveform(np.array([value, 0.25, value]), 16000))
+    expected = np.clip(np.round(np.clip([value, 0.25, value], -1.0, 1.0) * 32768.0), -32768, 32767)
+    written = wavfile.read(path)[1]
+    assert written.dtype == np.int16
+    assert written.tobytes() == expected.astype(np.int16).tobytes()
+
+
 def test_reads_float32_wav(tmp_path):
     data = np.linspace(-0.5, 0.5, 100, dtype=np.float32)
     wavfile.write(tmp_path / "f.wav", 8000, data)

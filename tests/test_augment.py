@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from lungmix import augment
+from lungmix import augment, masks, mixing
 from lungmix.audio_io import read_wav, write_wav
 from lungmix.augment import AugmentPlan, augment_corpus
 from lungmix.dataset import align_records, load_manifest
 from lungmix.errors import InvalidConfig, ParseError
-from lungmix.mixing import STRATEGIES
+from lungmix.mixing import STRATEGIES, MixRequest, lungmix_trace
 from lungmix.pipeline import PipelineConfig, Waveform, condition, featurize
 from lungmix.rng import derive_rng
 from lungmix.synth import CorpusPlan, make_corpus
@@ -125,6 +125,64 @@ def test_store_decodes_once_and_workers_agree(mixed_lengths, tmp_path, monkeypat
         assert len(stores[-1]) == 0
         digests.append(run_digest(out))
     assert digests[0] == digests[1]
+
+
+@pytest.fixture
+def count_loudness(monkeypatch):
+    """Count `loudness_mask` calls at both of its binding sites."""
+    calls = []
+    lock = threading.Lock()
+    real = masks.loudness_mask
+
+    def counting(w):
+        with lock:
+            calls.append(len(w))
+        return real(w)
+
+    monkeypatch.setattr(augment, "loudness_mask", counting)
+    monkeypatch.setattr(mixing, "loudness_mask", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lungmix_takes_loudness_once_per_source(mixed_lengths, tmp_path, count_loudness, workers):
+    records = align_records(load_manifest(mixed_lengths))
+    plan = AugmentPlan(n_pairs=12, workers=workers)
+    manifest = augment_corpus(records, mixed_lengths, tmp_path, plan, PipelineConfig(), 5)
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    used = {r["provenance"][side] for r in rows for side in ("source_a", "source_b")}
+    assert len(count_loudness) == len(used) < 2 * len(rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rolled_stored_masks_give_the_recomputed_bytes(
+    mixed_lengths, tmp_path, monkeypatch, workers
+):
+    """Every pair equals `lungmix_trace` on the same rolled sources with its
+    loudness masks computed afresh, in float64."""
+    mixed = []
+    real_mix_one = augment._mix_one
+
+    def recording_mix_one(seed, pair, *args):
+        result = real_mix_one(seed, pair, *args)
+        mixed.append((seed, pair, result))
+        return result
+
+    monkeypatch.setattr(augment, "_mix_one", recording_mix_one)
+    records = align_records(load_manifest(mixed_lengths))
+    plan = AugmentPlan(n_pairs=12, workers=workers)
+    augment_corpus(records, mixed_lengths, tmp_path, plan, PipelineConfig(), 5)
+    assert len(mixed) == 12
+    for seed, pair, result in mixed:
+        a, b = (read_wav(mixed_lengths.parent / rec.audio_path) for rec in pair)
+        prov = result.provenance
+        if prov.rolled == "a":
+            a = Waveform(np.roll(a.samples, prov.roll_offset), a.sample_rate)
+        else:
+            b = Waveform(np.roll(b.samples, prov.roll_offset), b.sample_rate)
+        req = MixRequest(a, result.label, b, result.label, plan.mix_params(seed))
+        trace = lungmix_trace(req)
+        assert trace.mixed.samples.tobytes() == result.audio.samples.tobytes()
 
 
 @pytest.mark.parametrize(

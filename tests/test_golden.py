@@ -2,7 +2,9 @@
 
 A digest may change only in a commit whose CHANGES.md entry says why. The
 corpora are small (8 records of 4 s; 4 records of at most 9.5 s; 8 records at
-44.1 and 8 kHz) so the whole file runs in seconds.
+44.1 and 8 kHz) so the whole file runs in seconds. Files hold float32 or int16,
+which hide most float64 rounding changes, so the FLOAT64 digests hash the
+arrays of the main kernels before any quantisation.
 """
 
 import hashlib
@@ -12,10 +14,20 @@ import numpy as np
 import pytest
 
 from lungmix.audio_io import write_wav
+from lungmix.augment import AugmentPlan, _mix_one, _prepare
 from lungmix.cli import main
 from lungmix.dataset import RecordManifest, load_manifest, save_manifest
 from lungmix.labels import FOUR_CLASS
-from lungmix.pipeline import Waveform
+from lungmix.pipeline import (
+    PipelineConfig,
+    Waveform,
+    fit_length,
+    mel_head,
+    mel_spectrogram,
+    normalize_spectrogram,
+)
+from lungmix.rng import derive_rng
+from lungmix.synth import SynthSpec, synth
 
 # (strategy, mode) -> sha256 of augmented.jsonl plus every file it lists
 AUGMENT = {
@@ -51,6 +63,15 @@ MIXED_RATE = {
     "patchmix": "dadf2dbfe7e522ffc1b98346b9f92c3c492f09310fc1b46ef99867b6f7a7e2c9",
 }
 PREPROCESS_44K_SPEC = "03dfdf82fd6e36b0fc06b62be85382f1903a1aa003d2c9a29ba56087532443d3"
+# sha256 of float64 `.tobytes()` on a 9 s 16 kHz synth record: its log-mel, that
+# log-mel normalised, its first 6 s padded and stitched onto its cached head,
+# and the lungmix blend of one rolled pair (4 s and 3 s records)
+FLOAT64 = {
+    "mel_spectrogram": "53ba737d7365e7f8578b5402ff54ddfab6a96dab7c210c7b30a87da8e338371c",
+    "normalize_spectrogram": "81a83a626d5718b95aa4264ea311352f521761c3528aef125ed8cf5150fa8184",
+    "stitched_padded_mel": "5afc154681272dbaca3653e5d7d188c1337a480ec9e32ac9637047f29bcf75eb",
+    "rolled_lungmix_mix": "2f0a827ee35f425c689a4e677e78675189058f3ec0ed5b1076ccce84178bdfd4",
+}
 
 
 def sha256(*blobs: bytes) -> str:
@@ -173,3 +194,44 @@ def test_preprocess_44k_spec_digest(mixed_rate_corpus, tmp_path):
     rc = main(["preprocess", "--in", str(wav), "--out", str(tmp_path)])
     assert rc == 0
     assert sha256((tmp_path / "synth-both-000.spec").read_bytes()) == PREPROCESS_44K_SPEC
+
+
+@pytest.fixture(scope="module")
+def record_9s():
+    return synth(SynthSpec(label="both", duration_s=9.0, seed=3))[0]
+
+
+def test_float64_mel_spectrogram_digest(record_9s):
+    bins = mel_spectrogram(record_9s, PipelineConfig()).bins
+    assert sha256(bins.tobytes()) == FLOAT64["mel_spectrogram"]
+
+
+def test_float64_normalize_spectrogram_digest(record_9s):
+    cfg = PipelineConfig()
+    spec = normalize_spectrogram(mel_spectrogram(record_9s, cfg), cfg.norm_mean, cfg.norm_std)
+    assert sha256(spec.bins.tobytes()) == FLOAT64["normalize_spectrogram"]
+
+
+def test_float64_stitched_padded_mel_digest(record_9s):
+    cfg = PipelineConfig()
+    short = Waveform(record_9s.samples[: 6 * 16000], 16000)
+    head = mel_head(short, cfg)
+    assert head.shape[1] == 598
+    padded = fit_length(short, cfg.clip_seconds, derive_rng(1, "prep", "a"))
+    bins = mel_spectrogram(padded, cfg, head).bins
+    assert sha256(bins.tobytes()) == FLOAT64["stitched_padded_mel"]
+
+
+def test_float64_rolled_lungmix_mix_digest(tmp_path):
+    """One lungmix pair of unequal lengths through the augment path, rolled."""
+    plan, cfg = AugmentPlan(), PipelineConfig()
+    pair, sources = [], []
+    for label, seconds in (("crackle", 4.0), ("wheeze", 3.0)):
+        wave, rec = synth(SynthSpec(label=label, duration_s=seconds, seed=5))
+        write_wav(tmp_path / f"{label}.wav", wave)
+        pair.append(rec)
+        sources.append(_prepare(tmp_path / f"{label}.wav", plan, cfg))
+    result = _mix_one(9, tuple(pair), tuple(sources), plan, cfg)
+    assert result.provenance.rolled is not None
+    assert len(result.audio) == 4 * 16000
+    assert sha256(result.audio.samples.tobytes()) == FLOAT64["rolled_lungmix_mix"]

@@ -1,5 +1,7 @@
 """Mixing strategies: boundary identities, determinism, blend exactness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from lungmix.errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch
 from lungmix.labels import FOUR_CLASS, MODES, SoftTriple
-from lungmix.masks import MixMask, MixParams
+from lungmix.masks import MixMask, MixParams, loudness_mask
 from lungmix.mixing import (
     STRATEGIES,
     MixRequest,
@@ -197,6 +199,24 @@ class TestLungmix:
         a, b = noise_wave(36), noise_wave(37)
         with pytest.raises(InvalidConfig):
             lungmix_trace(request(a, b, strategy="mixup"))
+
+    def test_given_loudness_masks_are_used_as_they_are(self):
+        a, b = noise_wave(38, n=3000), noise_wave(39, n=5000)
+        computed = lungmix_trace(request(a, b, seed=40))
+        given = replace(request(a, b, seed=40), loudness=(loudness_mask(a), loudness_mask(b)))
+        assert lungmix(given).audio.samples.tobytes() == computed.mixed.samples.tobytes()
+        quiet = replace(given, loudness=(np.zeros(3000, bool), np.zeros(5000, bool)))
+        trace = lungmix_trace(quiet)
+        assert not (trace.mask_a | trace.mask_b).any()
+        assert lungmix(quiet).audio.samples.tobytes() == trace.mixed.samples.tobytes()
+
+    def test_loudness_masks_must_fit_a_lungmix_request(self):
+        a, b = noise_wave(41), noise_wave(42)
+        masks = (loudness_mask(a), loudness_mask(b))
+        with pytest.raises(InvalidConfig):
+            replace(request(a, b, strategy="mixup"), loudness=masks)
+        with pytest.raises(ShapeMismatch):
+            replace(request(a, b), loudness=(masks[0], masks[1][:10]))
 
 
 class TestVanillaMixup:

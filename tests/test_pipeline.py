@@ -1,5 +1,7 @@
 """Preprocessing contracts, checked against FFT and RMS oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -198,6 +200,33 @@ class TestMelSpectrogram:
         s1 = mel_spectrogram(Waveform(x.copy(), 16000), self.CFG)
         s2 = mel_spectrogram(Waveform(x.copy(), 16000), self.CFG)
         assert np.array_equal(s1.bins, s2.bins)
+
+    def test_shorter_than_one_window_is_all_floor(self):
+        w = Waveform(np.full(100, 0.5), 16000)
+        bins = mel_spectrogram(w, self.CFG).bins
+        assert bins.shape == (128, 1024)
+        assert (bins == np.log(pipeline.POWER_FLOOR)).all()
+
+    @pytest.mark.parametrize("block", [1, 7, 10_000])
+    def test_fft_block_size_does_not_change_bytes(self, rng, monkeypatch, block):
+        w = Waveform(rng.standard_normal(144000) * 0.1, 16000)
+        default = mel_spectrogram(w, self.CFG).bins
+        monkeypatch.setattr(pipeline, "FFT_BLOCK_ROWS", block)
+        assert mel_spectrogram(w, self.CFG).bins.tobytes() == default.tobytes()
+
+    def test_peak_allocation_of_a_nine_second_record(self, rng):
+        # blocked strided framing keeps it near 4 MB; transforming all frames
+        # at once took 7.6 MB, and an index matrix plus a gathered copy of the
+        # frames 12.3 MB
+        w = Waveform(rng.standard_normal(144000) * 0.1, 16000)
+        mel_spectrogram(w, self.CFG)  # builds the cached filterbank
+        tracemalloc.start()
+        try:
+            mel_spectrogram(w, self.CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
 
     def test_wrong_rate_raises(self):
         w = Waveform(np.zeros(8000), 8000)
