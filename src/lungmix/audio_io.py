@@ -21,8 +21,10 @@ def read_wav(path) -> Waveform:
         raise MissingAudio(f"audio file not found: {path}")
     try:
         rate, data = wavfile.read(path)
-    except (ValueError, struct.error) as exc:
-        raise ParseError(f"cannot read WAV {path}: {exc}") from exc
+    except OSError:
+        raise
+    except Exception as exc:  # a malformed header can raise anything from inside scipy
+        raise ParseError(f"cannot read WAV {path}: {exc!r}") from exc
     if data.ndim != 1:
         raise ParseError(f"expected mono WAV, got {data.ndim} channels: {path}")
     if data.size == 0:

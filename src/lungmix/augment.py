@@ -2,21 +2,24 @@
 
 Each pair gets its own random stream derived from (master seed, pair index),
 so results are identical no matter how many workers run or in what order the
-pool schedules them. What is deterministic about a source record is computed
-once per run by a `_SourceStore`: decode and resample; for lungmix, the
-loudness mask; for patchmix, bandpass and the log-mel columns that padding
-noise cannot touch (all of them when the record needs no padding). Only the
-seeded per-pair work runs per pair: for lungmix, the roll, which rolls the
-stored mask with its waveform; for a padded patchmix source, the noise and the
-mel frames it overlaps.
+pool schedules them. What is deterministic about a source record is prepared
+once per run by `_prepare`: decode and resample; for lungmix, the loudness
+mask; for patchmix, bandpass and the log-mel columns that padding noise cannot
+touch (all of them when the record needs no padding). The exporting thread
+submits every job in pair order: a source's preparation before the first pair
+that uses it, then the pair's job with the futures of its two preparations.
+It forgets a preparation once its last pair is submitted, so the source is
+freed when that pair has been mixed. Only the seeded per-pair work runs per
+pair: for lungmix, the roll, which rolls the stored mask with its waveform;
+for a padded patchmix source, the noise and the mel frames it overlaps.
 Results stream to the exporter in pair order, so memory does not grow with the
 pair count.
 """
 
-import threading
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -83,57 +86,19 @@ def _label_of(record: RecordManifest) -> LabelVector:
     return FOUR_CLASS.vector(record.label_unified)
 
 
-class _SourceStore:
-    """Each source's preparation, computed once per run and held only while
-    a pair still needs it.
+def _in_order(futures, ahead: int):
+    """Yield the results of already-submitted `futures` in order, drawing the
+    next future only after yielding one, so at most `ahead` of them are
+    submitted but not yet yielded.
 
-    The pairs are fixed before any mixing starts, so the store is told every
-    key it will be asked for, with repeats. `take` returns the prepared source
-    and drops the entry once the last pair that needs it has taken it. The
-    first thread to ask for a key computes it; a thread asking meanwhile waits
-    for that result instead of computing it again.
+    `pool.map` would submit every job at once, and finished results would pile
+    up whenever the consumer falls behind.
     """
-
-    def __init__(self, keys, prepare):
-        self._uses = Counter(keys)
-        self._entries: dict[object, Future] = {}
-        self._lock = threading.Lock()
-        self._prepare = prepare
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def take(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            owner = entry is None
-            if owner:
-                entry = self._entries[key] = Future()
-            self._uses[key] -= 1
-            if not self._uses[key]:
-                del self._entries[key], self._uses[key]
-        if owner:
-            try:
-                entry.set_result(self._prepare(key))
-            except BaseException as exc:
-                entry.set_exception(exc)
-        return entry.result()
-
-
-def _in_order(pool: ThreadPoolExecutor, job, n: int, ahead: int):
-    """Yield job(0), ..., job(n - 1) from the pool in order, with at most
-    `ahead` jobs submitted but not yet yielded.
-
-    `pool.map` would submit all n at once, and finished results would pile up
-    whenever the consumer falls behind.
-    """
-    pending: deque[Future] = deque()
-    for i in range(n):
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-        pending.append(pool.submit(job, i))
+    futures = iter(futures)
+    pending: deque[Future] = deque(islice(futures, ahead))
     while pending:
         yield pending.popleft().result()
+        pending.extend(islice(futures, 1))
 
 
 def _read_only(*arrays: np.ndarray | None) -> None:
@@ -261,15 +226,28 @@ def augment_corpus(
     pairs = pair_records(records, plan.n_pairs, plan.pairing, derive_rng(master_seed, "pairing"))
 
     paths = [tuple(resolve_audio_path(rec, manifest_path) for rec in pair) for pair in pairs]
-    store = _SourceStore(
-        [path for pair in paths for path in pair], lambda path: _prepare(path, plan, pipeline_cfg)
-    )
 
-    def job(i: int) -> MixResult:
-        sources = tuple(map(store.take, paths[i]))
+    def job(i: int, prepared: list[Future]) -> MixResult:
+        sources = tuple(f.result() for f in prepared)
         return _mix_one(derive_seed(master_seed, "mix", i), pairs[i], sources, plan, pipeline_cfg)
+
+    def submitted(pool: ThreadPoolExecutor):
+        # runs only in the exporting thread; the pool dequeues first in, first
+        # out, so every preparation starts before any job that waits on it
+        uses = Counter(path for pair in paths for path in pair)
+        prepared: dict[Path, Future] = {}
+        for i, pair in enumerate(paths):
+            futures = []
+            for path in pair:
+                if path not in prepared:
+                    prepared[path] = pool.submit(_prepare, path, plan, pipeline_cfg)
+                futures.append(prepared[path])
+                uses[path] -= 1
+                if not uses[path]:
+                    del prepared[path]
+            yield pool.submit(job, i, futures)
 
     # results are exported as they arrive, in pair order, never all held at once
     with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        results = _in_order(pool, job, len(pairs), ahead=2 * plan.workers)
+        results = _in_order(submitted(pool), ahead=2 * plan.workers)
         return export_augmented(results, out_dir, datasets=[a.dataset for a, _ in pairs])

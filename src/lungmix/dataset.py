@@ -24,6 +24,9 @@ log = logging.getLogger(__name__)
 DATASETS = ("icbhi", "spr", "hf", "synthetic")
 SPLITS = ("train", "test")
 PAIRINGS = ("uniform", "cross-class")
+# align_records fails the run when more than this share of records has an
+# unregistered raw label
+MAX_SKIP_RATE = 0.05
 
 
 @dataclass
@@ -43,6 +46,10 @@ class RecordManifest:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("record_id", "audio_path", "dataset", "split", "label_raw"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise InvalidConfig(f"{name} must be a string, got {value!r}")
         if self.dataset not in DATASETS:
             raise InvalidConfig(f"unknown dataset {self.dataset!r}")
         if self.split not in SPLITS:
@@ -50,6 +57,8 @@ class RecordManifest:
         if self.label_unified is not None and self.label_unified not in FOUR_CLASS.categories():
             raise InvalidConfig(f"unknown unified label {self.label_unified!r}")
         if self.segment is not None:
+            if len(self.segment) != 2:
+                raise InvalidConfig(f"segment must be [start, end], got {list(self.segment)}")
             start, end = self.segment
             if not (0 <= start < end):
                 raise InvalidConfig(f"segment times must satisfy 0 <= start < end, got {self.segment}")
@@ -61,6 +70,8 @@ class RecordManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RecordManifest":
+        if not isinstance(data, dict):
+            raise ParseError(f"a record must be a JSON object, got {data!r}")
         known = set(cls.__dataclass_fields__) - {"extras"}
         kwargs = {k: v for k, v in data.items() if k in known}
         extras = {k: v for k, v in data.items() if k not in known}
@@ -134,9 +145,7 @@ def align_label(dataset: str, raw: str, maps=None) -> str:
     return unified
 
 
-def align_records(
-    records: list[RecordManifest], maps=None, max_skip_rate: float = 0.05
-) -> list[RecordManifest]:
+def align_records(records: list[RecordManifest], maps=None) -> list[RecordManifest]:
     """Fill label_unified on every record; skip-and-log records whose raw
     label is unregistered, failing the run if too many were skipped."""
     aligned: list[RecordManifest] = []
@@ -149,10 +158,10 @@ def align_records(
             log.warning("skipping %s: %s", rec.record_id, exc)
             continue
         aligned.append(rec)
-    if records and skipped / len(records) > max_skip_rate:
+    if records and skipped / len(records) > MAX_SKIP_RATE:
         raise UnknownLabel(
             f"{skipped}/{len(records)} records failed label alignment "
-            f"(threshold {max_skip_rate:.0%})"
+            f"(threshold {MAX_SKIP_RATE:.0%})"
         )
     return aligned
 

@@ -180,13 +180,10 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     fft_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    fb = np.zeros((n_mels, fft_freqs.size))
-    for m in range(n_mels):
-        lo, center, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
-        rising = (fft_freqs - lo) / max(center - lo, 1e-12)
-        falling = (hi - fft_freqs) / max(hi - center, 1e-12)
-        fb[m] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    return fb
+    lo, center, hi = hz_pts[:-2, None], hz_pts[1:-1, None], hz_pts[2:, None]
+    rising = (fft_freqs - lo) / np.maximum(center - lo, 1e-12)
+    falling = (hi - fft_freqs) / np.maximum(hi - center, 1e-12)
+    return np.clip(np.minimum(rising, falling), 0.0, 1.0)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Batch augmentation: the per-run source store and streamed export."""
+"""Batch augmentation: each source prepared once per run and freed after its
+last pair, the same bytes at every worker count, and streamed export."""
 
 import hashlib
 import json
@@ -6,7 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import Counter
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy.io import wavfile
 from lungmix import augment, masks, mixing
 from lungmix.audio_io import read_wav, write_wav
 from lungmix.augment import AugmentPlan, augment_corpus
-from lungmix.dataset import align_records, load_manifest
+from lungmix.dataset import align_records, load_manifest, resolve_audio_path
 from lungmix.errors import InvalidConfig, ParseError
 from lungmix.mixing import STRATEGIES, MixRequest, lungmix_trace
 from lungmix.pipeline import PipelineConfig, Waveform, condition, featurize
@@ -36,50 +37,6 @@ def test_plan_rejects_zero_pairs():
         AugmentPlan(n_pairs=0)
 
 
-def test_store_prepares_each_key_once_under_contention():
-    keys = [key for key in range(6) for _ in range(5)]
-    prepared = Counter()
-    lock = threading.Lock()
-
-    def prepare(key):
-        with lock:
-            prepared[key] += 1
-        time.sleep(0.001)  # widen the window in which other threads miss too
-        return key * 10
-
-    store = augment._SourceStore(keys, prepare)
-    taken = [[] for _ in range(8)]
-
-    def worker(i):
-        taken[i].extend(store.take(key) for key in keys[i::8])
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert prepared == Counter(range(6))
-    assert sorted(v for part in taken for v in part) == sorted(key * 10 for key in keys)
-    assert len(store) == 0
-
-
-def test_store_hands_a_failed_preparation_to_every_taker():
-    def prepare(key):
-        raise ParseError(f"cannot read {key}")
-
-    store = augment._SourceStore(["k", "k"], prepare)
-    for _ in range(2):
-        with pytest.raises(ParseError):
-            store.take("k")
-    assert len(store) == 0
-
-
 @pytest.fixture(scope="module")
 def mixed_lengths(tmp_path_factory):
     """Two 2 s records per class; one of each class cut to 1 s, so patchmix
@@ -95,7 +52,6 @@ def mixed_lengths(tmp_path_factory):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_store_decodes_once_and_workers_agree(mixed_lengths, tmp_path, monkeypatch, strategy):
     decoded = []
-    stores = []
     lock = threading.Lock()
     real_read_wav = augment.read_wav
 
@@ -104,27 +60,90 @@ def test_store_decodes_once_and_workers_agree(mixed_lengths, tmp_path, monkeypat
             decoded.append(path)
         return real_read_wav(path)
 
-    class RecordedStore(augment._SourceStore):
-        def __init__(self, *args):
-            super().__init__(*args)
-            stores.append(self)
-
     monkeypatch.setattr(augment, "read_wav", counting_read_wav)
-    monkeypatch.setattr(augment, "_SourceStore", RecordedStore)
     records = align_records(load_manifest(mixed_lengths))
     cfg = PipelineConfig(clip_seconds=1.5)
     digests = []
-    for workers in (1, 2):
+    interval = sys.getswitchinterval()
+    # 8 workers: more threads than cores, switching as often as the interpreter allows
+    for workers in (1, 2, 8):
         decoded.clear()
         plan = AugmentPlan(strategy=strategy, n_pairs=12, workers=workers)
         out = tmp_path / f"w{workers}"
-        manifest = augment_corpus(records, mixed_lengths, out, plan, cfg, 5)
+        sys.setswitchinterval(1e-6 if workers == 8 else interval)
+        try:
+            manifest = augment_corpus(records, mixed_lengths, out, plan, cfg, 5)
+        finally:
+            sys.setswitchinterval(interval)
         rows = [json.loads(line) for line in manifest.read_text().splitlines()]
         used = {r["provenance"][side] for r in rows for side in ("source_a", "source_b")}
         assert len(decoded) == len(set(decoded)) == len(used)
-        assert len(stores[-1]) == 0
         digests.append(run_digest(out))
-    assert digests[0] == digests[1]
+    assert len(set(digests)) == 1
+
+
+def freed(ref, timeout: float = 10.0) -> bool:
+    """Whether `ref` dies within `timeout`. A pool worker drops its finished
+    job, and the futures the job was given, just after publishing the job's
+    result, so the exporter may see the result a moment before that."""
+    deadline = time.monotonic() + timeout
+    while ref() is not None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return ref() is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("strategy", ["lungmix", "patchmix"])
+def test_sources_are_freed_after_their_last_pair(
+    mixed_lengths, tmp_path, monkeypatch, strategy, workers
+):
+    """When the exporter takes pair i, every prepared source whose last pair
+    is at most i has been freed."""
+    records = align_records(load_manifest(mixed_lengths))
+    ids = {resolve_audio_path(rec, mixed_lengths): rec.record_id for rec in records}
+    plan = AugmentPlan(strategy=strategy, n_pairs=12, workers=workers)
+    cfg = PipelineConfig(clip_seconds=1.5)
+    first = augment_corpus(records, mixed_lengths, tmp_path / "first", plan, cfg, 5)
+    last_pair = {}
+    for i, line in enumerate(first.read_text().splitlines()):
+        provenance = json.loads(line)["provenance"]
+        last_pair[provenance["source_a"]] = last_pair[provenance["source_b"]] = i
+
+    prepared = {}
+    real_prepare = augment._prepare
+    real_export = augment.export_augmented
+
+    def recording_prepare(path, *args):
+        source = real_prepare(path, *args)
+        prepared[ids[path]] = weakref.ref(source)
+        return source
+
+    def checked(results):
+        for i, result in enumerate(results):
+            done = [rid for rid, last in last_pair.items() if last <= i]
+            assert all(freed(prepared[rid]) for rid in done), f"pair {i}"
+            yield result
+
+    monkeypatch.setattr(augment, "_prepare", recording_prepare)
+    monkeypatch.setattr(
+        augment, "export_augmented", lambda results, *a, **k: real_export(checked(results), *a, **k)
+    )
+    augment_corpus(records, mixed_lengths, tmp_path / "second", plan, cfg, 5)
+    assert prepared.keys() == last_pair.keys()
+    assert run_digest(tmp_path / "first") == run_digest(tmp_path / "second")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_preparation_fails_the_run(mixed_lengths, tmp_path, monkeypatch, workers):
+    def failing_prepare(path, *args):
+        raise ParseError(f"cannot read {path.name}")
+
+    monkeypatch.setattr(augment, "_prepare", failing_prepare)
+    records = align_records(load_manifest(mixed_lengths))
+    plan = AugmentPlan(n_pairs=12, workers=workers)
+    with pytest.raises(ParseError, match="cannot read"):
+        augment_corpus(records, mixed_lengths, tmp_path / "out", plan, PipelineConfig(), 5)
+    assert not (tmp_path / "out" / "augmented.jsonl").exists()
 
 
 @pytest.fixture

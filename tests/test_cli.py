@@ -339,6 +339,45 @@ def failed_midway(corpus, tmp_path):
     return rc, left, sorted(p.name for p in tmp_path.rglob("aug-*"))
 
 
+def broken_copy(edit):
+    """augment over a copy of the corpus that `edit` has damaged: gives the exit
+    code, whether the error names the damaged manifest line or WAV, and
+    whether --out exists."""
+
+    def run(corpus, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(corpus, broken)
+        where = edit(broken)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = augment_lungmix(broken, tmp_path / "o")
+        return rc, where in err.getvalue(), (tmp_path / "o").exists()
+
+    return run
+
+
+def manifest_line(edit):
+    """Replace the manifest's second line by `edit` of the record it holds."""
+
+    def damage(broken):
+        manifest = broken / "corpus.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        manifest.write_text("\n".join(lines) + "\n")
+        return f"{manifest}:2:"
+
+    return broken_copy(damage)
+
+
+def huge_fmt_chunk(broken):
+    """Every WAV's `fmt ` chunk claims 0x7ffffff0 bytes."""
+    for wav in broken.glob("*.wav"):
+        raw = bytearray(wav.read_bytes())
+        raw[16:20] = (0x7FFFFFF0).to_bytes(4, "little")
+        wav.write_bytes(bytes(raw))
+    return "cannot read WAV"
+
+
 def foreign_file_in_out(corpus, tmp_path):
     """An augment run whose --out holds a file augment did not write: gives
     the exit code and what --out holds afterwards."""
@@ -453,6 +492,25 @@ FAULTS = [
         config_error(config={"augmnet": {"n_pairs": 2}}), (2, False), id="unknown-top-level-key"
     ),
     pytest.param(config_error(config={"command": "synth"}), (2, False), id="foreign-command"),
+    pytest.param(manifest_line(lambda rec: 5), (3, True, False), id="manifest-line-is-number"),
+    pytest.param(manifest_line(lambda rec: [1, 2]), (3, True, False), id="manifest-line-is-list"),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "segment": [1.0]}), (3, True, False),
+        id="manifest-one-item-segment",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "segment": [0.0, 1.0, 2.0]}), (3, True, False),
+        id="manifest-three-item-segment",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "label_raw": 5}), (3, True, False),
+        id="manifest-number-label-raw",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "audio_path": 5}), (3, True, False),
+        id="manifest-number-audio-path",
+    ),
+    pytest.param(broken_copy(huge_fmt_chunk), (3, True, False), id="wav-huge-fmt-chunk"),
     pytest.param(config_error("--per-class", "0", command="synth"), (2, False), id="synth-zero-per-class"),
     pytest.param(config_error("--duration", "0", command="synth"), (2, False), id="synth-zero-duration"),
 ]

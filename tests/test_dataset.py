@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lungmix.dataset import (
     RecordManifest,
@@ -17,7 +19,7 @@ from lungmix.dataset import (
     pair_records,
     save_manifest,
 )
-from lungmix.errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel
+from lungmix.errors import InvalidConfig, LungmixError, MissingAudio, ParseError, UnknownLabel
 from lungmix.labels import FOUR_CLASS
 from lungmix.masks import MixParams
 from lungmix.mixing import MixRequest, lungmix
@@ -90,6 +92,38 @@ class TestAlignRecords:
         recs.append(RecordManifest("bad", "x.wav", "icbhi", "train", "squeak"))
         out = align_records(recs)
         assert len(out) == 30
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+# a valid record with any of its fields replaced by an arbitrary JSON value
+RECORD_LINES = st.fixed_dictionaries(
+    {},
+    optional={
+        name: JSON_VALUES
+        for name in (
+            "record_id", "audio_path", "dataset", "split", "label_raw", "label_unified",
+            "segment", "events", "soft_target", "provenance",
+        )
+    },
+).map(lambda fields: {**record(0, label="wheeze").to_dict(), "label_unified": None, **fields})
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(JSON_VALUES | RECORD_LINES, max_size=4))
+def test_any_json_lines_raise_only_lungmix_errors(tmp_path, lines):
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    (tmp_path / "x.wav").write_bytes(b"RIFF")
+    try:
+        align_records(load_manifest(path))
+    except LungmixError:
+        pass
 
 
 class TestLoadManifest:
