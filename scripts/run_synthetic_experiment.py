@@ -19,6 +19,7 @@ from lungmix.audio_io import read_spectrogram, read_wav
 from lungmix.augment import AugmentPlan, augment_corpus
 from lungmix.dataset import load_manifest, resolve_audio_path
 from lungmix.metrics import score
+from lungmix.parallel import worker_pool
 from lungmix.pipeline import PipelineConfig, preprocess
 from lungmix.rng import derive_rng
 from lungmix.synth import CorpusPlan, make_corpus
@@ -44,6 +45,12 @@ def features(record, manifest_path, cfg, seed):
         wave = read_wav(path)
         bins = preprocess(wave, cfg, derive_rng(seed, record.record_id))[1].bins
     return bins.max(axis=1)
+
+
+def all_features(records, manifest_path, cfg, seed):
+    """`features` of every record, in record order, computed on a worker pool."""
+    with worker_pool() as pool:
+        return list(pool.map(lambda r: features(r, manifest_path, cfg, seed), records))
 
 
 def centroid_classifier(train_feats, train_labels):
@@ -76,8 +83,8 @@ def main():
     train = load_manifest(train_manifest)
     held_out = load_manifest(eval_manifest)
 
-    eval_feats = [features(r, eval_manifest, cfg, args.seed) for r in held_out]
-    base_feats = [features(r, train_manifest, cfg, args.seed) for r in train]
+    eval_feats = all_features(held_out, eval_manifest, cfg, args.seed)
+    base_feats = all_features(train, train_manifest, cfg, args.seed)
     base_labels = [r.label_unified for r in train]
 
     print(f"{'strategy':>10} {'Se':>7} {'Sp':>7} {'Sc':>7}")
@@ -93,9 +100,9 @@ def main():
             aug_manifest = augment_corpus(
                 train, train_manifest, out / f"aug_{name}", plan, cfg, args.seed
             )
-            for rec in load_manifest(aug_manifest):
-                feats.append(features(rec, aug_manifest, cfg, args.seed))
-                labels.append(rec.label_unified)
+            augmented = load_manifest(aug_manifest)
+            feats += all_features(augmented, aug_manifest, cfg, args.seed)
+            labels += [rec.label_unified for rec in augmented]
         predict = centroid_classifier(feats, labels)
         pairs = [(r.label_unified, predict(f)) for r, f in zip(held_out, eval_feats)]
         report = score(pairs)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .errors import EmptyAudio, MissingAudio, ParseError
+from .errors import EmptyAudio, MissingAudio, NumericalError, ParseError
 from .pipeline import Spectrogram, Waveform
 
 
@@ -64,13 +64,17 @@ def read_spectrogram(path) -> np.ndarray:
     if len(raw) < 8:
         raise ParseError(f"spectrogram file too short: {path}")
     mel_bins, frames = struct.unpack("<II", raw[:8])
+    if not (mel_bins and frames):
+        raise ParseError(f"spectrogram header of {path} gives {mel_bins} rows x {frames} columns")
     expected = 8 + 4 * mel_bins * frames
     if len(raw) != expected:
         raise ParseError(
             f"spectrogram size mismatch in {path}: expected {expected} bytes, got {len(raw)}"
         )
-    values = np.frombuffer(raw[8:], dtype="<f4")
-    return values.reshape(mel_bins, frames).astype(np.float64)
+    bins = np.frombuffer(raw, dtype="<f4", offset=8).reshape(mel_bins, frames).astype(np.float64)
+    if not np.isfinite(bins).all():
+        raise NumericalError(f"spectrogram {path} holds NaN or Inf")
+    return bins
 
 
 def write_spectrogram_csv(path, s: Spectrogram) -> None:

@@ -30,6 +30,7 @@ from .errors import InvalidConfig
 from .labels import FOUR_CLASS, MODES, LabelVector
 from .masks import MixParams, loudness_mask
 from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
+from .parallel import worker_pool
 from .pipeline import (
     PipelineConfig,
     Spectrogram,
@@ -248,6 +249,6 @@ def augment_corpus(
             yield pool.submit(job, i, futures)
 
     # results are exported as they arrive, in pair order, never all held at once
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+    with worker_pool(plan.workers) as pool:
         results = _in_order(submitted(pool), ahead=2 * plan.workers)
         return export_augmented(results, out_dir, datasets=[a.dataset for a, _ in pairs])

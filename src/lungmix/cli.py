@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 
 from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_wav
 from .augment import AugmentPlan, augment_corpus
-from .dataset import PAIRINGS, align_records, load_label_maps, load_manifest
+from .dataset import PAIRINGS, align_records, load_label_maps, load_manifest, read_jsonl
 from .errors import InvalidConfig, LungmixError
 from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
@@ -41,12 +41,11 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
     except OSError as exc:
         raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidConfig(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidConfig("config file must hold a JSON object")
     return data
@@ -179,18 +178,14 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     pairs = []
     path = Path(args.predictions)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                pair = (row["true"], row["predicted"])
-                if not set(pair) <= set(FOUR_CLASS.categories()):
-                    raise ValueError(f"unknown class in {pair}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LungmixError(f"{path}:{lineno}: bad prediction row: {exc}") from exc
-            pairs.append(pair)
+    for lineno, row in read_jsonl(path):
+        try:
+            pair = (row["true"], row["predicted"])
+            if not set(pair) <= set(FOUR_CLASS.categories()):
+                raise ValueError(f"unknown class in {pair}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LungmixError(f"{path}:{lineno}: bad prediction row: {exc}") from exc
+        pairs.append(pair)
     report = score(pairs)
     print(report.format_table())
     if args.out:

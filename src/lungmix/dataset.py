@@ -8,8 +8,10 @@ and raw names outside those rules must be added by the operator.
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,20 @@ PAIRINGS = ("uniform", "cross-class")
 # align_records fails the run when more than this share of records has an
 # unregistered raw label
 MAX_SKIP_RATE = 0.05
+
+
+def _is_event(event) -> bool:
+    """Whether `event` is (start, end, label): finite seconds, not bools, with
+    0 <= start <= end, and a string label."""
+    if not isinstance(event, (tuple, list)) or len(event) != 3:
+        return False
+    start, end, label = event
+    # an int of any size is finite, but too large for math.isfinite
+    seconds = all(
+        isinstance(t, Real) and not isinstance(t, bool) and (isinstance(t, int) or math.isfinite(t))
+        for t in (start, end)
+    )
+    return seconds and isinstance(label, str) and 0 <= start <= end
 
 
 @dataclass
@@ -62,6 +78,13 @@ class RecordManifest:
             start, end = self.segment
             if not (0 <= start < end):
                 raise InvalidConfig(f"segment times must satisfy 0 <= start < end, got {self.segment}")
+        if self.events is not None and not (
+            isinstance(self.events, (list, tuple)) and all(map(_is_event, self.events))
+        ):
+            raise InvalidConfig(
+                f"events must be a list of [start, end, label] with finite "
+                f"0 <= start <= end and a string label, got {self.events!r}"
+            )
 
     def to_dict(self) -> dict:
         out = {k: v for k, v in asdict(self).items() if v is not None and k != "extras"}
@@ -80,8 +103,8 @@ class RecordManifest:
                 raise ParseError(f"missing required field {req!r}")
         if kwargs.get("segment") is not None:
             kwargs["segment"] = tuple(kwargs["segment"])
-        if kwargs.get("events") is not None:
-            kwargs["events"] = [tuple(e) for e in kwargs["events"]]
+        if isinstance(kwargs.get("events"), list):
+            kwargs["events"] = [tuple(e) if isinstance(e, list) else e for e in kwargs["events"]]
         return cls(**kwargs, extras=extras)
 
 
@@ -91,11 +114,11 @@ def default_label_maps() -> dict[str, dict[str, str]]:
 
 
 def load_label_maps(path) -> dict[str, dict[str, str]]:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"label maps {path} are not valid JSON: {exc}") from exc
+    data = Path(path).read_bytes()
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidConfig(f"label maps {path} are not valid UTF-8 JSON: {exc}") from exc
     return load_label_maps_data(raw)
 
 
@@ -177,28 +200,38 @@ def load_manifest(path, check_audio: bool = True) -> list[RecordManifest]:
         raise MissingAudio(f"manifest not found: {path}")
     records: list[RecordManifest] = []
     root = path.parent
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    for lineno, data in read_jsonl(path):
+        try:
+            rec = RecordManifest.from_dict(data)
+        except (ParseError, InvalidConfig, TypeError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if check_audio:
+            audio = Path(rec.audio_path)
+            if not audio.is_absolute():
+                audio = root / audio
+            if not rec.audio_path or not audio.exists():
+                raise MissingAudio(f"{path}:{lineno}: audio file not found: {rec.audio_path!r}")
+        records.append(rec)
+    return records
+
+
+def read_jsonl(path):
+    """(line number, value) of each non-blank line of a UTF-8 JSONL file, read
+    as it is consumed. A line that is not UTF-8 or not JSON is a ParseError
+    naming it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                rec = RecordManifest.from_dict(data)
-            except (ParseError, InvalidConfig, TypeError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if check_audio:
-                audio = Path(rec.audio_path)
-                if not audio.is_absolute():
-                    audio = root / audio
-                if not rec.audio_path or not audio.exists():
-                    raise MissingAudio(
-                        f"{path}:{lineno}: audio file not found: {rec.audio_path!r}"
-                    )
-            records.append(rec)
-    return records
+            yield lineno, value
 
 
 def resolve_audio_path(record: RecordManifest, manifest_path) -> Path:

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from lungmix.audio_io import (
@@ -13,7 +15,7 @@ from lungmix.audio_io import (
     write_spectrogram_csv,
     write_wav,
 )
-from lungmix.errors import MissingAudio, ParseError
+from lungmix.errors import LungmixError, MissingAudio, NumericalError, ParseError
 from lungmix.pipeline import Spectrogram, Waveform
 
 
@@ -90,6 +92,69 @@ def test_truncated_spectrogram_raises(tmp_path):
     path.write_bytes(struct.pack("<II", 4, 4) + b"\x00" * 7)
     with pytest.raises(ParseError):
         read_spectrogram(path)
+
+@pytest.mark.parametrize(("mel_bins", "frames"), [(0, 0), (0, 5), (3, 0)])
+def test_empty_spectrogram_header_raises(tmp_path, mel_bins, frames):
+    path = tmp_path / "empty.spec"
+    path.write_bytes(struct.pack("<II", mel_bins, frames))
+    with pytest.raises(ParseError):
+        read_spectrogram(path)
+
+
+def test_non_finite_spectrogram_is_numerical_error(tmp_path):
+    path = tmp_path / "nan.spec"
+    path.write_bytes(struct.pack("<II", 1, 2) + np.array([0.5, np.nan], "<f4").tobytes())
+    with pytest.raises(NumericalError):
+        read_spectrogram(path)
+
+
+def read_or_category_error(path):
+    """read_spectrogram's bins, after checking they are finite and shaped as
+    the header says, or None when it raised a LungmixError."""
+    try:
+        bins = read_spectrogram(path)
+    except LungmixError:
+        return None
+    assert bins.dtype == np.float64 and np.isfinite(bins).all()
+    assert bins.shape == struct.unpack("<II", path.read_bytes()[:8])
+    return bins
+
+
+# header sizes: empty, small, and far beyond any file
+DIMS = st.integers(0, 4) | st.sampled_from([2**16, 2**31, 2**32 - 1])
+
+
+@st.composite
+def spec_files(draw):
+    """(header, values, bytes cut from the end): values fill the header's
+    shape when it is small, else they are a few floats."""
+    mel_bins, frames = draw(DIMS), draw(DIMS)
+    n = mel_bins * frames if mel_bins * frames <= 16 else draw(st.integers(0, 4))
+    values = draw(st.lists(st.floats(width=32), min_size=n, max_size=n))
+    return (mel_bins, frames), values, draw(st.integers(0, 12) | st.just(0))
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=80))
+def test_random_bytes_read_or_raise_a_category_error(tmp_path, raw):
+    path = tmp_path / "s.spec"
+    path.write_bytes(raw)
+    read_or_category_error(path)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=spec_files())
+def test_headers_and_truncations_read_or_raise_a_category_error(tmp_path, case):
+    (mel_bins, frames), values, cut = case
+    raw = struct.pack("<II", mel_bins, frames) + np.array(values, "<f4").tobytes()
+    path = tmp_path / "s.spec"
+    path.write_bytes(raw[: len(raw) - cut])
+    bins = read_or_category_error(path)
+    readable = cut == 0 and mel_bins * frames == len(values) > 0 and np.isfinite(values).all()
+    assert (bins is not None) == readable
+    if readable:
+        assert np.array_equal(bins.ravel(), np.array(values, "<f4"))
+
 
 def test_spectrogram_csv(tmp_path):
     s = spec(np.arange(6.0).reshape(2, 3))

@@ -279,16 +279,30 @@ def bad_label_maps(text):
     return run
 
 
-def eval_unknown_class(corpus, tmp_path):
-    """eval on predictions whose second row names no class: gives the exit
-    code, whether the error names that line, and whether --out exists."""
-    preds = tmp_path / "p.jsonl"
-    rows = [{"true": "normal", "predicted": "normal"}, {"true": "cough", "predicted": "normal"}]
-    preds.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    err = io.StringIO()
-    with redirect_stderr(err):
-        rc = main(["eval", "--predictions", str(preds), "--out", str(tmp_path / "o")])
-    return rc, f"{preds}:2:" in err.getvalue(), (tmp_path / "o").exists()
+def eval_second_line(line: bytes):
+    """eval on predictions whose second line is `line`: gives the exit code,
+    whether the error names that line, and whether --out exists."""
+
+    def run(corpus, tmp_path):
+        preds = tmp_path / "p.jsonl"
+        preds.write_bytes(b'{"true": "normal", "predicted": "normal"}\n' + line + b"\n")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = main(["eval", "--predictions", str(preds), "--out", str(tmp_path / "o")])
+        return rc, f"{preds}:2:" in err.getvalue(), (tmp_path / "o").exists()
+
+    return run
+
+
+def non_utf8_file(flag, command="augment"):
+    """A run given `flag` naming a JSON file that holds a byte that is not UTF-8."""
+
+    def run(corpus, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"\xff": 1}')
+        return config_error(flag, str(bad), command=command)(corpus, tmp_path)
+
+    return run
 
 
 def config_file_given(command, *argv):
@@ -357,13 +371,15 @@ def broken_copy(edit):
 
 
 def manifest_line(edit):
-    """Replace the manifest's second line by `edit` of the record it holds."""
+    """Replace the manifest's second line by `edit` of the record it holds, as
+    JSON, or by `edit`'s bytes as they are."""
 
     def damage(broken):
         manifest = broken / "corpus.jsonl"
-        lines = manifest.read_text().splitlines()
-        lines[1] = json.dumps(edit(json.loads(lines[1])))
-        manifest.write_text("\n".join(lines) + "\n")
+        lines = manifest.read_bytes().splitlines()
+        line = edit(json.loads(lines[1]))
+        lines[1] = line if isinstance(line, bytes) else json.dumps(line).encode()
+        manifest.write_bytes(b"\n".join(lines) + b"\n")
         return f"{manifest}:2:"
 
     return broken_copy(damage)
@@ -472,7 +488,10 @@ FAULTS = [
         config_error("--strategy", "patchmix", config={"pipeline": {"frames": 100}}), (2, False),
         id="patchmix-frames-not-patch-multiple",
     ),
-    pytest.param(eval_unknown_class, (3, True, False), id="eval-unknown-class-is-data-error"),
+    pytest.param(
+        eval_second_line(b'{"true": "cough", "predicted": "normal"}'), (3, True, False),
+        id="eval-unknown-class-is-data-error",
+    ),
     pytest.param(
         config_error(config={"master_seed": "x"}, command="preprocess"), (2, False),
         id="preprocess-string-master-seed",
@@ -513,6 +532,26 @@ FAULTS = [
     pytest.param(broken_copy(huge_fmt_chunk), (3, True, False), id="wav-huge-fmt-chunk"),
     pytest.param(config_error("--per-class", "0", command="synth"), (2, False), id="synth-zero-per-class"),
     pytest.param(config_error("--duration", "0", command="synth"), (2, False), id="synth-zero-duration"),
+    pytest.param(manifest_line(lambda rec: b"\xff\xfe"), (3, True, False), id="manifest-line-not-utf8"),
+    pytest.param(non_utf8_file("--config"), (2, False), id="config-file-not-utf8"),
+    pytest.param(non_utf8_file("--label-maps"), (2, False), id="label-maps-not-utf8"),
+    pytest.param(eval_second_line(b"\xff\xfe"), (3, True, False), id="eval-predictions-not-utf8"),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "events": "abc"}), (3, True, False),
+        id="manifest-events-string",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "events": {"x": 1}}), (3, True, False),
+        id="manifest-events-object",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "events": [[1]]}), (3, True, False),
+        id="manifest-event-one-item",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "events": [[2.0, 1.0, "wheeze"]]}), (3, True, False),
+        id="manifest-event-ends-before-start",
+    ),
 ]
 
 

@@ -126,6 +126,40 @@ def test_any_json_lines_raise_only_lungmix_errors(tmp_path, lines):
         pass
 
 
+EVENT_ITEMS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+# event lists, mostly of three items, sometimes of another shape or not a list
+EVENTS = st.lists(
+    st.tuples(EVENT_ITEMS, EVENT_ITEMS, EVENT_ITEMS).map(list)
+    | st.tuples(st.floats(0, 10), st.floats(0, 10), st.text(max_size=4)).map(list)
+    | st.lists(EVENT_ITEMS, max_size=4)
+    | EVENT_ITEMS,
+    max_size=3,
+) | JSON_VALUES
+
+
+def is_event(event) -> bool:
+    if not isinstance(event, list) or len(event) != 3:
+        return False
+    start, end, label = event
+    numbers = all(type(t) in (int, float) and abs(t) != float("inf") and t == t for t in (start, end))
+    return numbers and isinstance(label, str) and 0 <= start <= end
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(events=EVENTS)
+def test_events_load_only_as_start_end_label_triples(tmp_path, events):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({**record(0).to_dict(), "events": events}) + "\n")
+    valid = events is None or (isinstance(events, list) and all(map(is_event, events)))
+    try:
+        [rec] = load_manifest(path, check_audio=False)
+    except ParseError as exc:
+        assert not valid and f"{path}:1:" in str(exc)
+    else:
+        assert valid
+        assert rec.events == (None if events is None else [tuple(e) for e in events])
+
+
 class TestLoadManifest:
     def test_empty_file_gives_empty_list(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -48,6 +48,9 @@ AUGMENT = {
     ("patchmix", "combined"): "afcda2da9c8b2b02e25ffa2f58ef8dc7eefb3ced1252c2e54f46a438692be3c5",
     ("patchmix", "preserve"): "b1c690f87fe58a85d691a692ee07e30c63198dce4b03d36f7a6a34cdacca2b3e",
 }
+# sha256 of the `synth --per-class 2 --duration 4 --seed 3` corpus: corpus.jsonl
+# plus every WAV it lists
+SYNTH_CORPUS = "7d79c0dca27eaa7a3b5dd085331a47905a523c8fa2b999619c8b5471af569730"
 LUNGMIX_NO_ROLL_MAX = "8d28cb7b7b46e48072168cffb62d977b01fe6e881476f58bab92f55301e9118c"
 INSPECT_MASK_CSV = "ce6017c32bd6305ff5f54f2630701b95ee8bd1a09c2e50e583f504d730ec8a1b"
 PREPROCESS_SPEC = "f382b1b0adc883c202bec153ffe51989ba3b89828617890d8dc959938db76f67"
@@ -81,8 +84,9 @@ def sha256(*blobs: bytes) -> str:
     return h.hexdigest()
 
 
-def augment_digest(out) -> str:
-    manifest = (out / "augmented.jsonl").read_bytes()
+def manifest_digest(out, name="augmented.jsonl") -> str:
+    """sha256 of the manifest `name` in `out` plus every file it lists."""
+    manifest = (out / name).read_bytes()
     rows = [json.loads(line) for line in manifest.decode().splitlines() if line.strip()]
     return sha256(manifest, *((out / row["audio_path"]).read_bytes() for row in rows))
 
@@ -95,13 +99,17 @@ def corpus(tmp_path_factory):
     return out
 
 
+def test_synth_corpus_digest(corpus):
+    assert manifest_digest(corpus, "corpus.jsonl") == SYNTH_CORPUS
+
+
 def augment(corpus, out, *flags) -> str:
     rc = main([
         "augment", "--manifest", str(corpus / "corpus.jsonl"), "--out", str(out),
         "--pairs", "4", "--seed", "7", *flags,
     ])
     assert rc == 0
-    return augment_digest(out)
+    return manifest_digest(out)
 
 
 @pytest.mark.parametrize(("strategy", "mode"), list(AUGMENT))
