@@ -48,8 +48,12 @@ def features(record, manifest_path, cfg, seed):
 
 
 def all_features(records, manifest_path, cfg, seed):
-    """`features` of every record, in record order, computed on a worker pool."""
-    with worker_pool() as pool:
+    """`features` of every record, in record order.
+
+    One worker: its pool keeps OpenBLAS to one thread, so the script runs on
+    one core and its time does not hinge on whether a second core is free.
+    """
+    with worker_pool(1) as pool:
         return list(pool.map(lambda r: features(r, manifest_path, cfg, seed), records))
 
 

@@ -15,7 +15,6 @@ from .audio_io import write_wav
 from .dataset import RecordManifest, save_manifest
 from .errors import InvalidConfig
 from .labels import FOUR_CLASS
-from .parallel import worker_pool
 from .pipeline import Waveform, bandpass
 from .rng import derive_rng, derive_seed
 
@@ -154,22 +153,15 @@ class CorpusPlan:
 
 
 def make_corpus(out_dir, plan: CorpusPlan, master_seed: int) -> Path:
-    """Write the plan's records plus corpus.jsonl; returns its path.
-
-    Records are synthesised and written on a `worker_pool`; each has its own
-    seed, so the bytes and the manifest order do not depend on the schedule.
-    """
+    """Write the plan's records plus corpus.jsonl; returns its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def write(label: str, k: int) -> RecordManifest:
-        wave, rec = synth(plan.spec(label, derive_seed(master_seed, label, k)))
-        rec.record_id = f"synth-{label}-{k:03d}"
-        rec.audio_path = f"{rec.record_id}.wav"
-        write_wav(out_dir / rec.audio_path, wave)
-        return rec
-
-    jobs = [(label, k) for label in FOUR_CLASS.categories() for k in range(plan.per_class)]
-    with worker_pool() as pool:
-        rows = list(pool.map(write, *zip(*jobs)))
+    rows = []
+    for label in FOUR_CLASS.categories():
+        for k in range(plan.per_class):
+            wave, rec = synth(plan.spec(label, derive_seed(master_seed, label, k)))
+            rec.record_id = f"synth-{label}-{k:03d}"
+            rec.audio_path = f"{rec.record_id}.wav"
+            write_wav(out_dir / rec.audio_path, wave)
+            rows.append(rec)
     return save_manifest(rows, out_dir / "corpus.jsonl")
