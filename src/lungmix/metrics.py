@@ -52,16 +52,6 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _report(correct: dict[str, int], totals: dict[str, int]) -> MetricsReport:
-    """Se/Sp/Sc from per-class correct and ground-truth counts."""
-    n_abnormal = sum(n for cls, n in totals.items() if cls != NORMAL)
-    c_abnormal = sum(n for cls, n in correct.items() if cls != NORMAL)
-    se = 100.0 * c_abnormal / n_abnormal if n_abnormal else None
-    sp = 100.0 * correct[NORMAL] / totals[NORMAL] if totals[NORMAL] else None
-    sc = (se + sp) / 2.0 if se is not None and sp is not None else None
-    return MetricsReport(correct=correct, totals=totals, se=se, sp=sp, sc=sc)
-
-
 def confusion(pairs) -> np.ndarray:
     """4x4 count matrix; rows are true classes, columns predictions."""
     classes = FOUR_CLASS.categories()
@@ -79,15 +69,11 @@ def score(pairs) -> MetricsReport:
     """Aggregate (true, predicted) label pairs into the evaluation report."""
     matrix = confusion(pairs)
     classes = FOUR_CLASS.categories()
-    return _report(
-        {cls: int(matrix[i, i]) for i, cls in enumerate(classes)},
-        {cls: int(matrix[i].sum()) for i, cls in enumerate(classes)},
-    )
-
-
-def merge_reports(a: MetricsReport, b: MetricsReport) -> MetricsReport:
-    """Add disjoint partial counts and recompute the rates from the sums."""
-    return _report(
-        {cls: a.correct[cls] + b.correct[cls] for cls in a.correct},
-        {cls: a.totals[cls] + b.totals[cls] for cls in a.totals},
-    )
+    correct = {cls: int(matrix[i, i]) for i, cls in enumerate(classes)}
+    totals = {cls: int(matrix[i].sum()) for i, cls in enumerate(classes)}
+    n_abnormal = sum(n for cls, n in totals.items() if cls != NORMAL)
+    c_abnormal = sum(n for cls, n in correct.items() if cls != NORMAL)
+    se = 100.0 * c_abnormal / n_abnormal if n_abnormal else None
+    sp = 100.0 * correct[NORMAL] / totals[NORMAL] if totals[NORMAL] else None
+    sc = (se + sp) / 2.0 if se is not None and sp is not None else None
+    return MetricsReport(correct=correct, totals=totals, se=se, sp=sp, sc=sc)

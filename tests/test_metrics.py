@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from lungmix.errors import InvalidConfig
 from lungmix.labels import FOUR_CLASS
-from lungmix.metrics import MetricsReport, confusion, merge_reports, round2, score
+from lungmix.metrics import MetricsReport, confusion, round2, score
 
 CLASSES = FOUR_CLASS.categories()
 
@@ -108,26 +106,6 @@ class TestConfusion:
         for i, cls in enumerate(CLASSES):
             assert matrix[i, i] == report.correct[cls]
             assert matrix[i].sum() == report.totals[cls]
-
-
-class TestMerge:
-    def test_counts_add_and_rates_recompute(self):
-        a = pairs_for(80.0, 40.0, scale=100)
-        b = pairs_for(50.0, 90.0, scale=300)
-        merged = merge_reports(score(a), score(b))
-        direct = score(a + b)
-        assert merged == direct
-        # rate of the union is the count ratio, not the average of subset rates
-        assert merged.sp != pytest.approx((80.0 + 50.0) / 2)
-
-    @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=50))
-    def test_merge_matches_concatenation(self, n1, n2):
-        rng = np.random.default_rng(n1 * 100 + n2)
-        mk = lambda n: [
-            (CLASSES[rng.integers(0, 4)], CLASSES[rng.integers(0, 4)]) for _ in range(n)
-        ]
-        a, b = mk(n1), mk(n2)
-        assert merge_reports(score(a), score(b)) == score(a + b)
 
 
 class TestFormatting:
