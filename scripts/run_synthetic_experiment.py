@@ -6,9 +6,11 @@ each strategy, fits a nearest-centroid classifier on log-mel features
 max-pooled over time, and reports Se/Sp/Sc per strategy on the held-out records. Everything derives
 from one master seed, so reruns print identical numbers.
 
-It runs on one core, and `main` first calls `lungmix.parallel.hold_heap`, so
-each record's multi-MB filter and log-mel buffers stay in glibc's heap
-instead of being page-faulted in again for the next record.
+`main` first calls `lungmix.parallel.claim_process`, so OpenBLAS keeps to
+one thread and each record's multi-MB filter and log-mel buffers stay in
+glibc's heap instead of being page-faulted in again for the next record. It
+runs on one core: features are computed in the main thread, and augmentation
+uses one worker.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from lungmix.audio_io import read_spectrogram, read_wav
 from lungmix.augment import AugmentPlan, augment_corpus
 from lungmix.dataset import load_manifest, resolve_audio_path
 from lungmix.metrics import score
-from lungmix.parallel import hold_heap, worker_pool
+from lungmix.parallel import claim_process
 from lungmix.pipeline import PipelineConfig, preprocess
 from lungmix.rng import derive_rng
 from lungmix.synth import CorpusPlan, make_corpus
@@ -51,16 +53,6 @@ def features(record, manifest_path, cfg, seed):
     return bins.max(axis=1)
 
 
-def all_features(records, manifest_path, cfg, seed):
-    """`features` of every record, in record order.
-
-    One worker: its pool keeps OpenBLAS to one thread, so the script runs on
-    one core and its time does not hinge on whether a second core is free.
-    """
-    with worker_pool(1) as pool:
-        return list(pool.map(lambda r: features(r, manifest_path, cfg, seed), records))
-
-
 def centroid_classifier(train_feats, train_labels):
     classes = sorted(set(train_labels))
     centroids = {
@@ -75,7 +67,7 @@ def centroid_classifier(train_feats, train_labels):
 
 
 def main():
-    hold_heap()
+    claim_process()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="experiment_out")
     parser.add_argument("--seed", type=int, default=0)
@@ -92,8 +84,8 @@ def main():
     train = load_manifest(train_manifest)
     held_out = load_manifest(eval_manifest)
 
-    eval_feats = all_features(held_out, eval_manifest, cfg, args.seed)
-    base_feats = all_features(train, train_manifest, cfg, args.seed)
+    eval_feats = [features(r, eval_manifest, cfg, args.seed) for r in held_out]
+    base_feats = [features(r, train_manifest, cfg, args.seed) for r in train]
     base_labels = [r.label_unified for r in train]
 
     print(f"{'strategy':>10} {'Se':>7} {'Sp':>7} {'Sc':>7}")
@@ -110,7 +102,7 @@ def main():
                 train, train_manifest, out / f"aug_{name}", plan, cfg, args.seed
             )
             augmented = load_manifest(aug_manifest)
-            feats += all_features(augmented, aug_manifest, cfg, args.seed)
+            feats += [features(r, aug_manifest, cfg, args.seed) for r in augmented]
             labels += [rec.label_unified for rec in augmented]
         predict = centroid_classifier(feats, labels)
         pairs = [(r.label_unified, predict(f)) for r, f in zip(held_out, eval_feats)]

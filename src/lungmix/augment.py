@@ -30,7 +30,6 @@ from .errors import InvalidConfig
 from .labels import FOUR_CLASS, MODES, LabelVector
 from .masks import MixParams, loudness_mask
 from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
-from .parallel import worker_pool
 from .pipeline import (
     PipelineConfig,
     Spectrogram,
@@ -42,6 +41,11 @@ from .pipeline import (
     resample,
 )
 from .rng import derive_rng, derive_seed
+
+# The most worker threads a run may start. Twice as many results are held in
+# flight (about 1.1 MB each for a 9 s clip at 16 kHz), so unbounded, the flag
+# and not the corpus would set a run's memory and thread count.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,8 @@ class AugmentPlan:
             raise InvalidConfig(f"unknown pairing policy {self.pairing!r}")
         if self.n_pairs < 1:
             raise InvalidConfig(f"n_pairs must be at least 1, got {self.n_pairs}")
-        if self.workers < 1:
-            raise InvalidConfig(f"workers must be at least 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise InvalidConfig(f"workers must be from 1 to {MAX_WORKERS}, got {self.workers}")
         self.mix_params(0)  # MixParams checks alpha, lam, random_density and semantics
 
     def mix_params(self, seed: int) -> MixParams:
@@ -249,6 +253,6 @@ def augment_corpus(
             yield pool.submit(job, i, futures)
 
     # results are exported as they arrive, in pair order, never all held at once
-    with worker_pool(plan.workers) as pool:
+    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
         results = _in_order(submitted(pool), ahead=2 * plan.workers)
         return export_augmented(results, out_dir, datasets=[a.dataset for a, _ in pairs])

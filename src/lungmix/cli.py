@@ -27,7 +27,7 @@ from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
 from .metrics import score
 from .mixing import STRATEGIES, MixRequest, lungmix_trace
-from .parallel import hold_heap
+from .parallel import claim_process
 from .pipeline import PipelineConfig, preprocess
 from .synth import CorpusPlan, make_corpus
 from .rng import derive_rng
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    hold_heap()
+    claim_process()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -199,18 +199,14 @@ def load_manifest(path, check_audio: bool = True) -> list[RecordManifest]:
     if not path.exists():
         raise MissingAudio(f"manifest not found: {path}")
     records: list[RecordManifest] = []
-    root = path.parent
     for lineno, data in read_jsonl(path):
         try:
             rec = RecordManifest.from_dict(data)
         except (ParseError, InvalidConfig, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if check_audio:
-            audio = Path(rec.audio_path)
-            if not audio.is_absolute():
-                audio = root / audio
-            if not rec.audio_path or not audio.exists():
-                raise MissingAudio(f"{path}:{lineno}: audio file not found: {rec.audio_path!r}")
+        # an empty path resolves to the manifest's own directory, which exists
+        if check_audio and (not rec.audio_path or not resolve_audio_path(rec, path).exists()):
+            raise MissingAudio(f"{path}:{lineno}: audio file not found: {rec.audio_path!r}")
         records.append(rec)
     return records
 

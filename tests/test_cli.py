@@ -430,6 +430,7 @@ FAULTS = [
         id="removed-augment-key",
     ),
     pytest.param(config_error("--workers", "0"), (2, False), id="zero-workers"),
+    pytest.param(config_error("--workers", "65"), (2, False), id="workers-above-max"),
     pytest.param(
         config_error(config={"pipeline": [1]}), (2, False), id="pipeline-section-not-object"
     ),

@@ -196,6 +196,13 @@ class TestLoadManifest:
         with pytest.raises(MissingAudio):
             load_manifest(path)
 
+    def test_empty_audio_path_raises(self, tmp_path):
+        # "" resolves to the manifest's own directory, which exists
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(record(0, path="").to_dict()) + "\n")
+        with pytest.raises(MissingAudio):
+            load_manifest(path)
+
     def test_check_audio_can_be_disabled(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps(record(0, path="gone.wav").to_dict()) + "\n")

@@ -1,21 +1,19 @@
-"""`worker_pool`: OpenBLAS keeps to one thread while a pool is open, its
-thread count comes back when the last pool closes, and no kernel's bytes
-depend on which count was in force. `hold_heap`: glibc's thresholds are set
-once, only by the entry points, and records then reuse the heap."""
+"""`claim_process`: OpenBLAS is set to one thread and glibc's thresholds
+once, only by the entry points, no kernel's bytes depend on the thread count,
+and records then reuse the heap."""
 
 import ctypes
 import platform
 import subprocess
 import sys
 import textwrap
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lungmix import parallel, pipeline
-from lungmix.parallel import worker_pool
+from lungmix import cli, parallel, pipeline
 from lungmix.pipeline import PipelineConfig, Waveform, featurize, mel_head, mel_spectrogram
 from lungmix.synth import CorpusPlan, make_corpus
 
@@ -36,67 +34,6 @@ def three_blas_threads():
     BLAS[1](before)
 
 
-@needs_openblas
-def test_one_blas_thread_inside_and_restored_after(three_blas_threads):
-    with worker_pool(2) as pool:
-        assert blas_threads() == 1
-        assert pool.submit(blas_threads).result() == 1
-    assert blas_threads() == 3
-
-
-@needs_openblas
-def test_restored_after_an_exception(three_blas_threads):
-    with pytest.raises(ZeroDivisionError):
-        with worker_pool(2) as pool:
-            pool.submit(lambda: 1 / 0).result()
-    assert blas_threads() == 3
-
-
-@needs_openblas
-def test_restored_only_when_the_outer_of_nested_pools_closes(three_blas_threads):
-    with worker_pool(2) as outer:
-        with worker_pool(1) as inner:
-            assert inner.submit(blas_threads).result() == 1
-        assert blas_threads() == 1
-        assert outer.submit(blas_threads).result() == 1
-    assert blas_threads() == 3
-
-
-def test_concurrent_pools_restore_once_the_last_closes(monkeypatch):
-    """Two threads' pools overlap; a stand-in BLAS records every count set."""
-    state = {"threads": 4, "history": []}
-
-    def set_threads(n):
-        state["threads"] = n
-        state["history"].append(n)
-
-    monkeypatch.setattr(parallel, "_openblas", lambda: (lambda: state["threads"], set_threads))
-    first_open, second_done = threading.Event(), threading.Event()
-
-    def first():
-        with worker_pool(1):
-            first_open.set()
-            second_done.wait(timeout=10)
-            state["after_second"] = state["threads"]
-
-    thread = threading.Thread(target=first)
-    thread.start()
-    first_open.wait(timeout=10)
-    with worker_pool(1):
-        pass
-    second_done.set()
-    thread.join()
-    assert state == {"threads": 4, "history": [1, 4], "after_second": 1}
-
-
-def test_no_op_without_openblas(monkeypatch):
-    monkeypatch.setattr(parallel, "_openblas", lambda: None)
-    before = None if BLAS is None else blas_threads()
-    with worker_pool(2) as pool:
-        assert list(pool.map(abs, [-1, -2, 3])) == [1, 2, 3]
-        assert (None if BLAS is None else blas_threads()) == before
-
-
 def kernel_bytes(mel_bins: int) -> list[bytes]:
     """float64 bytes of `mel_spectrogram`, of `mel_head` stitches where the head
     and where the tail is at the SPLIT_MIN_ELEMENTS floor, and of `featurize`."""
@@ -115,14 +52,16 @@ def kernel_bytes(mel_bins: int) -> list[bytes]:
     return out
 
 
+@needs_openblas
 @pytest.mark.parametrize("mel_bins", [128, 64, 32])
-def test_kernel_bytes_same_inside_and_outside_a_pool(mel_bins):
-    outside = kernel_bytes(mel_bins)
-    with worker_pool(2) as pool:
-        on_worker = pool.submit(kernel_bytes, mel_bins).result()
+def test_kernel_bytes_same_inside_and_outside_a_pool(three_blas_threads, mel_bins):
+    """At 3 OpenBLAS threads and at 1, on the caller and on a pool's worker."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
         on_caller = kernel_bytes(mel_bins)
-    assert on_worker == outside
-    assert on_caller == outside
+        assert pool.submit(kernel_bytes, mel_bins).result() == on_caller
+        BLAS[1](1)
+        assert kernel_bytes(mel_bins) == on_caller
+        assert pool.submit(kernel_bytes, mel_bins).result() == on_caller
 
 
 class StandInLibc:
@@ -138,45 +77,81 @@ class StandInLibc:
         self.mallopt = mallopt
 
 
+class StandInBlas:
+    """`_openblas()`'s (get, set) pair, recording each count set; only the
+    setter is called."""
+
+    def __init__(self):
+        self.counts = []
+        self.handles = None, self.counts.append
+
+
 @pytest.fixture
 def libc(monkeypatch):
-    """Put `lib` in place of libc for `hold_heap`. Its cache is cleared before
-    and after, so no call through a stand-in is remembered as applied."""
+    """Put `lib` in place of libc, and `blas` in place of OpenBLAS, for
+    `claim_process`. Its cache is cleared before and after, so no call through
+    a stand-in is remembered as applied."""
 
-    def install(lib):
+    def install(lib, blas=None):
         def cdll(name):
             if isinstance(lib, Exception):
                 raise lib
             return lib
 
         monkeypatch.setattr(parallel.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(parallel, "_openblas", lambda: blas and blas.handles)
         return lib
 
-    parallel.hold_heap.cache_clear()
+    parallel.claim_process.cache_clear()
     yield install
-    parallel.hold_heap.cache_clear()
+    parallel.claim_process.cache_clear()
 
 
-def test_hold_heap_sets_both_thresholds_once(libc):
+def test_claim_process_sets_both_thresholds_once(libc):
     lib = libc(StandInLibc())
     for _ in range(3):
-        parallel.hold_heap()
+        parallel.claim_process()
     assert lib.calls == [
         (parallel.M_MMAP_THRESHOLD, 4 << 20),
         (parallel.M_TRIM_THRESHOLD, 8 << 20),
     ]
 
 
+def test_claim_process_sets_one_blas_thread_once(libc):
+    blas = StandInBlas()
+    libc(StandInLibc(), blas)
+    for _ in range(3):
+        parallel.claim_process()
+    assert blas.counts == [1]
+
+
 @pytest.mark.parametrize("lib", [OSError("no libc"), object()], ids=["cdll-raises", "no-mallopt"])
-def test_hold_heap_is_a_no_op_without_mallopt(libc, lib):
-    libc(lib)
-    assert parallel.hold_heap() is None
+def test_claim_process_is_a_no_op_without_mallopt(libc, lib):
+    blas = StandInBlas()
+    libc(lib, blas)
+    assert parallel.claim_process() is None
+    assert blas.counts == [1]
 
 
-def test_hold_heap_leaves_trimming_alone_when_mallopt_fails(libc):
+def test_claim_process_without_openblas_still_holds_the_heap(libc):
+    lib = libc(StandInLibc(), None)
+    parallel.claim_process()
+    assert len(lib.calls) == 2
+
+
+def test_claim_process_leaves_trimming_alone_when_mallopt_fails(libc):
     lib = libc(StandInLibc(result=0))
-    parallel.hold_heap()
+    parallel.claim_process()
     assert lib.calls == [(parallel.M_MMAP_THRESHOLD, 4 << 20)]
+
+
+@needs_openblas
+def test_cli_leaves_openblas_on_one_thread(three_blas_threads, tmp_path):
+    manifest = make_corpus(tmp_path / "corpus", CorpusPlan(per_class=1, duration_s=3.0), 2)
+    parallel.claim_process.cache_clear()
+    assert cli.main(["augment", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                     "--pairs", "2", "--workers", "2"]) == 0
+    assert blas_threads() == 1
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -193,6 +168,7 @@ def run_python(code: str) -> str:
 
 
 def test_importing_lungmix_leaves_the_allocator_alone():
+    """Nor OpenBLAS's thread count: neither setter is looked up."""
     out = run_python("""
         import ctypes
 
@@ -207,9 +183,10 @@ def test_importing_lungmix_leaves_the_allocator_alone():
         import lungmix, lungmix.cli
         from lungmix import parallel
 
-        print("mallopt" in looked_up, parallel.hold_heap.cache_info().currsize)
+        print("mallopt" in looked_up, parallel.claim_process.cache_info().currsize,
+              parallel._openblas.cache_info().currsize)
     """)
-    assert out.split() == ["False", "0"]
+    assert out.split() == ["False", "0", "0"]
 
 
 def has_glibc_mallopt() -> bool:
