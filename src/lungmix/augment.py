@@ -3,9 +3,10 @@
 Each pair gets its own random stream derived from (master seed, pair index),
 so results are identical no matter how many workers run or in what order the
 pool schedules them. What is deterministic about a source record is prepared
-once per run by `_prepare`: decode and resample; for lungmix, the loudness
-mask; for patchmix, bandpass and the log-mel columns that padding noise cannot
-touch (all of them when the record needs no padding). The exporting thread
+once per run by `_prepare`, into one read-only `_Source`: decode and resample;
+for lungmix, the loudness mask; for patchmix, bandpass and the log-mel columns
+that padding noise cannot touch, or only the normalised spectrogram when the
+record needs no padding. The exporting thread
 submits every job in pair order: a source's preparation before the first pair
 that uses it, then the pair's job with the futures of its two preparations.
 It forgets a preparation once its last pair is submitted, so the source is
@@ -106,60 +107,38 @@ def _in_order(futures, ahead: int):
         pending.extend(islice(futures, 1))
 
 
-def _read_only(*arrays: np.ndarray | None) -> None:
-    for array in arrays:
-        if array is not None:
-            array.flags.writeable = False
-
-
 @dataclass(frozen=True, eq=False)
-class _PaddedSource:
-    """A conditioned patchmix source shorter than the clip, which every pair
-    pads with its own noise, and the log-mel columns of the frames wholly
-    inside it, which that noise cannot touch (`pipeline.mel_head`)."""
+class _Source:
+    """A prepared record, shared read-only by every pair that uses it.
+    `audio` is what a pair mixes (see `_prepare`), `loud` is lungmix's
+    `loudness_mask`, which a pair rolls with the waveform, and `head` is
+    patchmix's `mel_head` columns, which padding noise cannot touch."""
 
-    wave: Waveform
-    head: np.ndarray | None
+    audio: Waveform | Spectrogram
+    loud: np.ndarray | None = None
+    head: np.ndarray | None = None
 
     def __post_init__(self):
-        _read_only(self.wave.samples, self.head)
-
-
-@dataclass(frozen=True, eq=False)
-class _LoudSource:
-    """A resampled lungmix source and its `loudness_mask`, which a pair rolls
-    along with the waveform instead of recomputing it."""
-
-    wave: Waveform
-    loud: np.ndarray
-
-    def __post_init__(self):
-        _read_only(self.wave.samples, self.loud)
-
-
-_Source = Waveform | Spectrogram | _PaddedSource | _LoudSource
+        audio = self.audio.bins if isinstance(self.audio, Spectrogram) else self.audio.samples
+        for array in (audio, self.loud, self.head):
+            if array is not None:
+                array.flags.writeable = False
 
 
 def _prepare(path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig) -> _Source:
-    """A source's deterministic preparation: decode and resample to the
-    pipeline's rate. For lungmix also the loudness mask, as a `_LoudSource`.
-    For patchmix also bandpass, then the whole normalised spectrogram when
-    fitting its length draws no padding noise; otherwise a `_PaddedSource`,
-    whose cached columns leave a pair to compute only the frames its noise
-    overlaps. Its arrays are read-only, since every pair that takes it shares
-    them."""
+    """A source's deterministic preparation: the waveform resampled to the
+    pipeline's rate, with its loudness mask for lungmix. For patchmix, the
+    bandpassed waveform with its `mel_head` columns when fitting its length
+    draws padding noise, so a pair computes only the frames that noise
+    overlaps; otherwise only the whole normalised spectrogram."""
     audio = read_wav(path)
     if plan.strategy != "patchmix":
         audio = resample(audio, pipeline_cfg.target_rate)
-        if plan.strategy == "lungmix":
-            return _LoudSource(audio, loudness_mask(audio))
-    else:
-        audio = condition(audio, pipeline_cfg)
-        if needs_padding(audio, pipeline_cfg):
-            return _PaddedSource(audio, mel_head(audio, pipeline_cfg))
-        audio = featurize(audio, pipeline_cfg)[1]
-    (audio.bins if isinstance(audio, Spectrogram) else audio.samples).flags.writeable = False
-    return audio
+        return _Source(audio, loud=loudness_mask(audio) if plan.strategy == "lungmix" else None)
+    audio = condition(audio, pipeline_cfg)
+    if needs_padding(audio, pipeline_cfg):
+        return _Source(audio, head=mel_head(audio, pipeline_cfg))
+    return _Source(featurize(audio, pipeline_cfg)[1])
 
 
 def _mix_one(
@@ -170,18 +149,17 @@ def _mix_one(
     pipeline_cfg: PipelineConfig,
 ) -> MixResult:
     rec_a, rec_b = pair
-    audio_a, audio_b = sources
+    audio_a, audio_b = (s.audio for s in sources)
 
     rolled = offset = loudness = None
     if plan.strategy == "patchmix":
         # a stored spectrogram needed no padding; otherwise pad with this pair's noise
         audio_a, audio_b = (
-            featurize(s.wave, pipeline_cfg, derive_rng(seed, "prep", side), s.head)[1]
-            if isinstance(s, _PaddedSource) else s
+            featurize(s.audio, pipeline_cfg, derive_rng(seed, "prep", side), s.head)[1]
+            if isinstance(s.audio, Waveform) else s.audio
             for s, side in zip(sources, "ab")
         )
     elif plan.strategy == "lungmix":
-        audio_a, audio_b = (s.wave for s in sources)
         loudness = [s.loud for s in sources]
         if plan.apply_roll:
             # rolling diversifies the lungmix pair; the plain baselines stay unrolled

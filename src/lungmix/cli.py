@@ -54,12 +54,16 @@ def _load_config(path) -> dict:
 
 def _accepts(annotation, value) -> bool:
     """Whether a JSON value fits a config field's annotation: `bool` is not
-    an `int`, an `int` is a `float`, and `X | None` also takes null."""
+    an `int`, a `float` is finite and may be an `int`, and `X | None` also
+    takes null."""
     if get_args(annotation):
         return any(_accepts(arm, value) for arm in get_args(annotation))
     if isinstance(value, bool):
         return annotation is bool
-    return isinstance(value, (int, float) if annotation is float else annotation)
+    if annotation is float:
+        # false for NaN and inf, and for an int too large to be a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, annotation)
 
 
 def _section(config: dict, name: str, cls, args):

@@ -10,6 +10,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from importlib import resources
 from numbers import Real
 from pathlib import Path
@@ -145,21 +146,13 @@ def load_label_maps_data(raw: dict) -> dict[str, dict[str, str]]:
     return maps
 
 
-_DEFAULT_MAPS: dict[str, dict[str, str]] | None = None
-
-
-def _maps(maps=None) -> dict[str, dict[str, str]]:
-    global _DEFAULT_MAPS
-    if maps is not None:
-        return maps
-    if _DEFAULT_MAPS is None:
-        _DEFAULT_MAPS = default_label_maps()
-    return _DEFAULT_MAPS
+# the shipped maps, read once and shared by every lookup that names no others
+_shipped_label_maps = lru_cache(maxsize=None)(default_label_maps)
 
 
 def align_label(dataset: str, raw: str, maps=None) -> str:
     """Table lookup from a corpus's raw label to the unified four-class name."""
-    table = _maps(maps).get(dataset)
+    table = (_shipped_label_maps() if maps is None else maps).get(dataset)
     if table is None:
         raise UnknownLabel(f"no label map registered for dataset {dataset!r}")
     unified = table.get(raw.strip().lower())

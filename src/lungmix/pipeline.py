@@ -276,8 +276,8 @@ def mel_head(w: Waveform, cfg: PipelineConfig) -> np.ndarray | None:
     split = min(_frame_count(len(w), cfg), _frame_count(clip, cfg) - floor)
     if split < floor:
         return None
-    win, hop, _ = _framing(cfg)
-    return mel_spectrogram(pad_to_length(w, hop * (split - 1) + win), cfg).bins[:, :split]
+    # C order: every pair that stitches the head copies it row by row
+    return np.ascontiguousarray(_log_mel(w.samples, cfg, 0, split))
 
 
 def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogram:

@@ -41,6 +41,8 @@ class SynthSpec:
             raise InvalidConfig(f"unknown class {self.label!r}")
         if self.duration_s <= 0 or self.sample_rate <= 0:
             raise InvalidConfig("duration and sample rate must be positive")
+        if round(self.duration_s * self.sample_rate) < 1:
+            raise InvalidConfig(f"{self.duration_s} s at {self.sample_rate} Hz rounds to no sample")
         if self.n_events < 0:
             raise InvalidConfig("n_events must be non-negative")
         if self.tone_hz is not None and not (100.0 <= self.tone_hz <= 1000.0):

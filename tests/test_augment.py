@@ -19,7 +19,7 @@ from lungmix.augment import AugmentPlan, augment_corpus
 from lungmix.dataset import align_records, load_manifest, resolve_audio_path
 from lungmix.errors import InvalidConfig, ParseError
 from lungmix.mixing import STRATEGIES, MixRequest, lungmix_trace
-from lungmix.pipeline import PipelineConfig, Waveform, condition, featurize
+from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform, condition, featurize
 from lungmix.rng import derive_rng
 from lungmix.synth import CorpusPlan, make_corpus
 
@@ -217,9 +217,35 @@ def test_stored_padded_source_gives_featurize_bytes(tmp_path, seconds, cached):
     source = augment._prepare(path, AugmentPlan(strategy="patchmix"), cfg)
     assert (None if source.head is None else source.head.shape[1]) == cached
     for seed in (1, 2):
-        stored = featurize(source.wave, cfg, derive_rng(seed, "prep", "a"), source.head)[1]
+        stored = featurize(source.audio, cfg, derive_rng(seed, "prep", "a"), source.head)[1]
         whole = featurize(condition(read_wav(path), cfg), cfg, derive_rng(seed, "prep", "a"))[1]
         assert stored.bins.tobytes() == whole.bins.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("strategy", "seconds", "kept"),
+    [
+        ("lungmix", 2.0, (Waveform, "loud")),
+        ("mixup", 2.0, (Waveform,)),
+        ("patchmix", 1.0, (Waveform, "head")),
+        ("patchmix", 2.0, (Spectrogram,)),
+    ],
+    ids=["lungmix", "mixup", "padded-patchmix", "unpadded-patchmix"],
+)
+def test_prepared_source_is_read_only(tmp_path, strategy, seconds, kept):
+    """A source holds what its strategy reuses and nothing else, all of it
+    read-only; a stored spectrogram keeps no waveform beside it."""
+    path = tmp_path / "r.wav"
+    write_wav(path, Waveform(np.random.default_rng(4).normal(0, 0.1, int(seconds * 16000)), 16000))
+    plan, cfg = AugmentPlan(strategy=strategy), PipelineConfig(clip_seconds=1.5)
+    source = augment._prepare(path, plan, cfg)
+    audio_type, *reused = kept
+    assert type(source.audio) is audio_type
+    assert [name for name in ("loud", "head") if getattr(source, name) is not None] == reused
+    arrays = [*vars(source.audio).values(), source.loud, source.head]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(kept)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.fixture(scope="module")

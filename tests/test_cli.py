@@ -533,6 +533,23 @@ FAULTS = [
     pytest.param(broken_copy(huge_fmt_chunk), (3, True, False), id="wav-huge-fmt-chunk"),
     pytest.param(config_error("--per-class", "0", command="synth"), (2, False), id="synth-zero-per-class"),
     pytest.param(config_error("--duration", "0", command="synth"), (2, False), id="synth-zero-duration"),
+    pytest.param(config_error("--duration", "nan", command="synth"), (2, False), id="synth-nan-duration"),
+    pytest.param(config_error("--duration", "inf", command="synth"), (2, False), id="synth-inf-duration"),
+    pytest.param(
+        config_error("--duration", "0.00001", "--n-events", "0", command="synth"), (2, False),
+        id="synth-duration-under-one-sample",
+    ),
+    pytest.param(
+        config_error("--clip-seconds", "nan", command="preprocess"), (2, False),
+        id="preprocess-nan-clip-seconds",
+    ),
+    pytest.param(
+        config_error("--clip-seconds", "inf", command="preprocess"), (2, False),
+        id="preprocess-inf-clip-seconds",
+    ),
+    pytest.param(
+        config_error(config={"pipeline": {"hop_ms": float("nan")}}), (2, False), id="nan-hop-ms"
+    ),
     pytest.param(manifest_line(lambda rec: b"\xff\xfe"), (3, True, False), id="manifest-line-not-utf8"),
     pytest.param(non_utf8_file("--config"), (2, False), id="config-file-not-utf8"),
     pytest.param(non_utf8_file("--label-maps"), (2, False), id="label-maps-not-utf8"),
@@ -651,6 +668,8 @@ def test_config_seed_and_flag_seed_agree(corpus, tmp_path):
         ("augment", AugmentPlan, {"strategy": None}, False),
         ("pipeline", PipelineConfig, {"clip_seconds": True}, False),
         ("pipeline", PipelineConfig, {"norm_mean": "0"}, False),
+        ("augment", AugmentPlan, {"alpha": float("nan")}, False),
+        ("pipeline", PipelineConfig, {"norm_mean": 10**400}, False),  # no float holds it
     ],
 )
 def test_section_checks_value_types(section, cls, values, ok):

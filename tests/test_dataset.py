@@ -64,6 +64,12 @@ class TestAlignLabel:
         with pytest.raises(InvalidConfig):
             load_label_maps_data({"hf": {"mixed": "both"}})
 
+    def test_default_maps_are_a_fresh_copy_each_call(self):
+        maps = default_label_maps()
+        maps["spr"].clear()
+        assert default_label_maps() is not maps
+        assert default_label_maps()["spr"] and align_label("spr", "fine crackle") == "crackle"
+
     def test_shipped_maps_are_total(self):
         maps = default_label_maps()
         for dataset, table in maps.items():

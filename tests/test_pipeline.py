@@ -280,6 +280,14 @@ class TestMelHead:
         cfg = PipelineConfig(clip_seconds=0.5)  # 48 frames, floor 32 each side
         assert mel_head(Waveform(rng.standard_normal(6000) * 0.1, 16000), cfg) is None
 
+    def test_head_keeps_no_whole_spectrogram_alive(self, rng):
+        """A prepared source holds its head for a run: its memory is the
+        head's own, not that of a (mel_bins, frames) array it was cut from."""
+        cfg = PipelineConfig()
+        head = mel_head(Waveform(rng.standard_normal(6 * 16000) * 0.1, 16000), cfg)
+        assert head.shape == (cfg.mel_bins, 598)
+        assert (head if head.base is None else head.base).nbytes == head.nbytes
+
 
 class TestNormalizeSpectrogram:
     def _spec(self, values):
