@@ -8,9 +8,9 @@ from one master seed, so reruns print identical numbers.
 
 `main` first calls `lungmix.parallel.claim_process`, so OpenBLAS keeps to
 one thread and each record's multi-MB filter and log-mel buffers stay in
-glibc's heap instead of being page-faulted in again for the next record. It
-runs on one core: features are computed in the main thread, and augmentation
-uses one worker.
+glibc's main heap, which the augment worker shares, instead of being
+page-faulted in again for the next record. It runs on one core: features are
+computed in the main thread, and augmentation uses one worker.
 """
 
 import argparse

@@ -4,6 +4,9 @@ Every error carries a ``category`` used by the CLI to pick its exit code:
 ``config`` -> 2, ``data`` -> 3, ``io`` -> 4.
 """
 
+import math
+from dataclasses import fields
+
 
 class LungmixError(Exception):
     category = "data"
@@ -11,6 +14,15 @@ class LungmixError(Exception):
 
 class InvalidConfig(LungmixError):
     category = "config"
+
+
+def reject_non_finite(config) -> None:
+    """Raise `InvalidConfig` for the first field of the dataclass `config`
+    that holds a NaN or infinite float."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"{f.name} must be finite, got {value}")
 
 
 class EmptyAudio(LungmixError):

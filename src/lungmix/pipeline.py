@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, resample_poly, sosfiltfilt
 
-from .errors import EmptyAudio, InvalidConfig, NumericalError
+from .errors import EmptyAudio, InvalidConfig, NumericalError, reject_non_finite
 
 # log-power floor: a zero-energy mel frame evaluates to log(POWER_FLOOR)
 POWER_FLOOR = 1e-10
@@ -84,6 +84,7 @@ class PipelineConfig:
     norm_std: float = DEFAULT_NORM_STD
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.target_rate <= 0:
             raise InvalidConfig("target_rate must be positive")
         if not (0 < self.band_low < self.band_high < self.target_rate / 2):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .audio_io import write_wav
 from .dataset import RecordManifest, save_manifest
-from .errors import InvalidConfig
+from .errors import InvalidConfig, reject_non_finite
 from .labels import FOUR_CLASS
 from .pipeline import Waveform, bandpass
 from .rng import derive_rng, derive_seed
@@ -37,6 +37,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.label not in FOUR_CLASS.categories():
             raise InvalidConfig(f"unknown class {self.label!r}")
         if self.duration_s <= 0 or self.sample_rate <= 0:
@@ -60,7 +61,8 @@ def _noise_floor(n: int, amp: float, rate: int, rng: np.random.Generator) -> np.
     if amp == 0.0 or n < 32:
         return white
     shaped = bandpass(Waveform(white, rate), *NOISE_BAND).samples
-    return np.clip(shaped, -1.8 * shaped.std(), 1.8 * shaped.std())
+    bound = 1.8 * shaped.std()
+    return np.clip(shaped, -bound, bound)
 
 
 def _event_slots(

@@ -8,6 +8,8 @@ import threading
 import time
 import tracemalloc
 import weakref
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from lungmix.errors import InvalidConfig, ParseError
 from lungmix.mixing import STRATEGIES, MixRequest, lungmix_trace
 from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform, condition, featurize
 from lungmix.rng import derive_rng
-from lungmix.synth import CorpusPlan, make_corpus
+from lungmix.synth import CorpusPlan, SynthSpec, make_corpus
 
 
 def run_digest(out_dir):
@@ -35,6 +37,22 @@ def run_digest(out_dir):
 def test_plan_rejects_zero_pairs():
     with pytest.raises(InvalidConfig, match="n_pairs"):
         AugmentPlan(n_pairs=0)
+
+
+CONFIG_CLASSES = (PipelineConfig, masks.MixParams, SynthSpec, AugmentPlan, CorpusPlan)
+
+
+def float_fields(cls) -> list[str]:
+    hints = get_type_hints(cls)
+    return [f.name for f in fields(cls) if float in (hints[f.name], *get_args(hints[f.name]))]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("cls, field", [(cls, name) for cls in CONFIG_CLASSES for name in float_fields(cls)],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_config_rejects_non_finite_floats(cls, field, value):
+    with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+        cls(**{field: value})
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
-"""`claim_process`: OpenBLAS is set to one thread and glibc's thresholds
-once, only by the entry points, no kernel's bytes depend on the thread count,
-and records then reuse the heap."""
+"""`claim_process`: OpenBLAS is set to one thread and glibc to one arena and
+its thresholds once, only by the entry points, no kernel's bytes depend on the
+thread count, and records then reuse the one heap."""
 
 import ctypes
 import platform
@@ -65,14 +65,15 @@ def test_kernel_bytes_same_inside_and_outside_a_pool(three_blas_threads, mel_bin
 
 
 class StandInLibc:
-    """`ctypes.CDLL(None)` with a `mallopt` that records each call."""
+    """`ctypes.CDLL(None)` with a `mallopt` that records each call and returns
+    `result`, or 0 for a parameter in `failing`."""
 
-    def __init__(self, result: int = 1):
+    def __init__(self, result: int = 1, failing=()):
         self.calls = []
 
         def mallopt(param, value):
             self.calls.append((param, value))
-            return result
+            return 0 if param in failing else result
 
         self.mallopt = mallopt
 
@@ -107,14 +108,16 @@ def libc(monkeypatch):
     parallel.claim_process.cache_clear()
 
 
+ARENA_CALL = (parallel.M_ARENA_MAX, 1)
+THRESHOLD_CALLS = [(parallel.M_MMAP_THRESHOLD, 4 << 20), (parallel.M_TRIM_THRESHOLD, 8 << 20)]
+
+
 def test_claim_process_sets_both_thresholds_once(libc):
+    """And caps glibc at one arena first, so no worker gets a heap of its own."""
     lib = libc(StandInLibc())
     for _ in range(3):
         parallel.claim_process()
-    assert lib.calls == [
-        (parallel.M_MMAP_THRESHOLD, 4 << 20),
-        (parallel.M_TRIM_THRESHOLD, 8 << 20),
-    ]
+    assert lib.calls == [ARENA_CALL, *THRESHOLD_CALLS]
 
 
 def test_claim_process_sets_one_blas_thread_once(libc):
@@ -136,13 +139,19 @@ def test_claim_process_is_a_no_op_without_mallopt(libc, lib):
 def test_claim_process_without_openblas_still_holds_the_heap(libc):
     lib = libc(StandInLibc(), None)
     parallel.claim_process()
-    assert len(lib.calls) == 2
+    assert lib.calls == [ARENA_CALL, *THRESHOLD_CALLS]
 
 
 def test_claim_process_leaves_trimming_alone_when_mallopt_fails(libc):
     lib = libc(StandInLibc(result=0))
     parallel.claim_process()
-    assert lib.calls == [(parallel.M_MMAP_THRESHOLD, 4 << 20)]
+    assert lib.calls == [ARENA_CALL, THRESHOLD_CALLS[0]]
+
+
+def test_claim_process_sets_the_thresholds_when_only_the_arena_cap_fails(libc):
+    lib = libc(StandInLibc(failing={parallel.M_ARENA_MAX}))
+    parallel.claim_process()
+    assert lib.calls == [ARENA_CALL, *THRESHOLD_CALLS]
 
 
 @needs_openblas
@@ -157,14 +166,14 @@ def test_cli_leaves_openblas_on_one_thread(three_blas_threads, tmp_path):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code: str) -> str:
-    """stdout of `code` in a fresh interpreter with lungmix on its path."""
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """`code`, run to success in a fresh interpreter with lungmix on its path."""
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n" + textwrap.dedent(code)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 def test_importing_lungmix_leaves_the_allocator_alone():
@@ -185,7 +194,7 @@ def test_importing_lungmix_leaves_the_allocator_alone():
 
         print("mallopt" in looked_up, parallel.claim_process.cache_info().currsize,
               parallel._openblas.cache_info().currsize)
-    """)
+    """).stdout
     assert out.split() == ["False", "0", "0"]
 
 
@@ -196,13 +205,41 @@ def has_glibc_mallopt() -> bool:
         return False
 
 
+needs_glibc = pytest.mark.skipif(not has_glibc_mallopt(), reason="the heap policy is glibc's mallopt")
+
+
+@needs_glibc
+def test_threads_share_one_arena_after_claim_process():
+    """Four threads allocating numpy buffers leave glibc with the main arena
+    alone; without the cap they add one arena each."""
+    err = run_python("""
+        import ctypes
+        from concurrent.futures import ThreadPoolExecutor
+        import numpy as np
+        from lungmix import parallel
+
+        parallel.claim_process()
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                np.sort(rng.standard_normal(100_000) * 2.0)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(work, range(8)))
+        ctypes.CDLL(None).malloc_stats()
+    """).stderr
+    arenas = [line for line in err.splitlines() if line.startswith("Arena")]
+    assert arenas == ["Arena 0:"], err
+
+
 # Minor page faults per 9 s, 16 kHz record after the first, through
 # `lungmix preprocess`: about 870 when each record's multi-MB buffers are
 # mapped afresh, under 10 when they stay in the heap.
 FAULTS_PER_RECORD = 100
 
 
-@pytest.mark.skipif(not has_glibc_mallopt(), reason="the heap policy is glibc's mallopt")
+@needs_glibc
 def test_preprocess_reuses_the_heap_across_records(tmp_path):
     manifest = make_corpus(tmp_path / "corpus", CorpusPlan(per_class=2, duration_s=9.0), 5)
     wavs = sorted(str(p) for p in manifest.parent.glob("*.wav"))
@@ -218,6 +255,6 @@ def test_preprocess_reuses_the_heap_across_records(tmp_path):
                 assert lungmix.cli.main(["preprocess", "--in", wav, "--out", {str(tmp_path)!r} + f"/out{{i}}"]) == 0
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         print(*faults)
-    """)
+    """).stdout
     faults = [int(n) for n in out.split()]
     assert sum(faults[1:]) / len(faults[1:]) < FAULTS_PER_RECORD, faults
