@@ -6,6 +6,11 @@ each strategy, fits a nearest-centroid classifier on log-mel features
 max-pooled over time, and reports Se/Sp/Sc per strategy on the held-out records. Everything derives
 from one master seed, so reruns print identical numbers.
 
+Each directory it writes under `--out` (`train`, `eval` and one `aug_<name>`
+per strategy) is published through `lungmix.dataset.staged`: written into a
+new directory beside it and renamed into place only once complete, so an
+interrupted run leaves no manifest that looks finished.
+
 `main` first calls `lungmix.parallel.claim_process`, so OpenBLAS keeps to
 one thread and each record's multi-MB filter and log-mel buffers stay in
 glibc's main heap, which the augment worker shares, instead of being
@@ -23,12 +28,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lungmix.audio_io import read_spectrogram, read_wav
 from lungmix.augment import AugmentPlan, augment_corpus
-from lungmix.dataset import load_manifest, resolve_audio_path
+from lungmix.dataset import AUGMENT_FILES, load_manifest, resolve_audio_path, staged
 from lungmix.metrics import score
 from lungmix.parallel import claim_process
 from lungmix.pipeline import PipelineConfig, preprocess
 from lungmix.rng import derive_rng
-from lungmix.synth import CorpusPlan, make_corpus
+from lungmix.synth import CORPUS_FILES, CorpusPlan, make_corpus
 
 STRATEGIES = [
     ("none", None, None),
@@ -37,6 +42,14 @@ STRATEGIES = [
     ("patchmix", "patchmix", "preserve"),
     ("lungmix", "lungmix", "nonlinear"),
 ]
+
+
+def publish(out_dir, owned, write):
+    """`write` into a stage that replaces `out_dir` once it returns; gives the
+    path, under `out_dir`, of the manifest it wrote."""
+    with staged(out_dir, owned) as stage:
+        name = write(stage).name
+    return out_dir / name
 
 
 def features(record, manifest_path, cfg, seed):
@@ -79,8 +92,8 @@ def main():
     cfg = PipelineConfig()
 
     corpus = CorpusPlan(per_class=args.per_class)
-    train_manifest = make_corpus(out / "train", corpus, args.seed)
-    eval_manifest = make_corpus(out / "eval", corpus, args.seed + 1)
+    train_manifest = publish(out / "train", CORPUS_FILES, lambda d: make_corpus(d, corpus, args.seed))
+    eval_manifest = publish(out / "eval", CORPUS_FILES, lambda d: make_corpus(d, corpus, args.seed + 1))
     train = load_manifest(train_manifest)
     held_out = load_manifest(eval_manifest)
 
@@ -98,8 +111,9 @@ def main():
                 n_pairs=args.pairs,
                 pairing="cross-class",
             )
-            aug_manifest = augment_corpus(
-                train, train_manifest, out / f"aug_{name}", plan, cfg, args.seed
+            aug_manifest = publish(
+                out / f"aug_{name}", AUGMENT_FILES,
+                lambda d: augment_corpus(train, train_manifest, d, plan, cfg, args.seed),
             )
             augmented = load_manifest(aug_manifest)
             feats += [features(r, aug_manifest, cfg, args.seed) for r in augmented]

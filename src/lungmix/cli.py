@@ -10,18 +10,15 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 I/O error.
 import argparse
 import csv
 import json
-import os
-import re
-import shutil
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_wav
 from .augment import AugmentPlan, augment_corpus
-from .dataset import PAIRINGS, align_records, load_label_maps, load_manifest, read_jsonl
+from .dataset import AUGMENT_FILES, PAIRINGS, SNAPSHOT, align_records, load_label_maps, load_manifest
+from .dataset import read_jsonl, staged
 from .errors import InvalidConfig, LungmixError
 from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
@@ -29,13 +26,10 @@ from .metrics import score
 from .mixing import STRATEGIES, MixRequest, lungmix_trace
 from .parallel import claim_process
 from .pipeline import PipelineConfig, preprocess
-from .synth import CorpusPlan, make_corpus
+from .synth import CORPUS_FILES, CorpusPlan, make_corpus
 from .rng import derive_rng
 
 EXIT_CODES = {"config": 2, "data": 3, "io": 4}
-
-# what `export_augmented` and `_write_snapshot` leave in an augment run's --out
-_AUGMENT_OUTPUT = re.compile(r"augmented\.jsonl|config_snapshot\.json|aug-\d{5,}\.(wav|spec)")
 
 
 def _load_config(path) -> dict:
@@ -105,7 +99,7 @@ def _write_snapshot(out_dir: Path, command: str, seed: int, **sections) -> None:
     """The run's resolved config, itself a --config that replays the run."""
     snapshot = {"command": command, "master_seed": seed}
     snapshot.update((name, asdict(cfg)) for name, cfg in sections.items())
-    with open(out_dir / "config_snapshot.json", "w") as fh:
+    with open(out_dir / SNAPSHOT, "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -113,10 +107,9 @@ def _write_snapshot(out_dir: Path, command: str, seed: int, **sections) -> None:
 def cmd_preprocess(args) -> int:
     seed, sections = _configure(args, pipeline=PipelineConfig)
     wave = read_wav(args.infile)
+    processed, spec = preprocess(wave, sections["pipeline"], derive_rng(seed, "preprocess"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    processed, spec = preprocess(wave, sections["pipeline"], derive_rng(seed, "preprocess"))
     stem = Path(args.infile).stem
     write_wav(out_dir / f"{stem}_preprocessed.wav", processed)
     write_spectrogram(out_dir / f"{stem}.spec", spec)
@@ -127,36 +120,6 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-@contextmanager
-def _staged(out_dir: Path):
-    """A new directory beside `out_dir` that replaces it once the block
-    finishes, and is removed if the block fails.
-
-    `out_dir` may be absent, or hold only a previous augment run's files; its
-    manifest is removed first, so a directory holds a manifest only when its
-    last run finished. Any other file in it is a config error, so that no
-    file but an augment run's own is ever deleted.
-    """
-    out_dir = out_dir.resolve()
-    if out_dir.exists():
-        foreign = sorted(p.name for p in out_dir.iterdir() if not _AUGMENT_OUTPUT.fullmatch(p.name))
-        if foreign:
-            raise InvalidConfig(f"--out {out_dir} holds files augment did not write: {foreign[:3]}")
-        (out_dir / "augmented.jsonl").unlink(missing_ok=True)
-    stage = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
-    old = out_dir.with_name(f".{out_dir.name}.old-{os.getpid()}")
-    stage.mkdir(parents=True)
-    try:
-        yield stage
-        if out_dir.exists():
-            out_dir.rename(old)
-        stage.rename(out_dir)
-    except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
-        raise
-    shutil.rmtree(old, ignore_errors=True)
-
-
 def cmd_augment(args) -> int:
     seed, sections = _configure(args, augment=AugmentPlan, pipeline=PipelineConfig)
     plan, pipeline_cfg = sections.values()
@@ -164,7 +127,7 @@ def cmd_augment(args) -> int:
     records = load_manifest(args.manifest)
     records = align_records(records, maps=maps)
     out_dir = Path(args.out)
-    with _staged(out_dir) as stage:
+    with staged(out_dir, AUGMENT_FILES) as stage:
         manifest = augment_corpus(records, args.manifest, stage, plan, pipeline_cfg, seed)
         _write_snapshot(stage, args.command, seed, **sections)
     print(f"wrote {plan.n_pairs} augmented records, manifest at {out_dir / manifest.name}")
@@ -174,9 +137,10 @@ def cmd_augment(args) -> int:
 def cmd_synth(args) -> int:
     seed, sections = _configure(args, synth=CorpusPlan)
     out_dir = Path(args.out)
-    manifest = make_corpus(out_dir, sections["synth"], seed)
-    _write_snapshot(out_dir, args.command, seed, **sections)
-    print(f"wrote synthetic corpus manifest at {manifest}")
+    with staged(out_dir, CORPUS_FILES) as stage:
+        manifest = make_corpus(stage, sections["synth"], seed)
+        _write_snapshot(stage, args.command, seed, **sections)
+    print(f"wrote synthetic corpus manifest at {out_dir / manifest.name}")
     return 0
 
 

@@ -9,6 +9,10 @@ and raw names outside those rules must be added by the operator.
 import json
 import logging
 import math
+import os
+import re
+import shutil
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -30,6 +34,8 @@ PAIRINGS = ("uniform", "cross-class")
 # align_records fails the run when more than this share of records has an
 # unregistered raw label
 MAX_SKIP_RATE = 0.05
+SNAPSHOT = "config_snapshot.json"  # a run's resolved config; every stage owns it
+AUGMENT_FILES = re.compile(r"augmented\.jsonl|aug-\d{5,}\.(wav|spec)")  # what export_augmented writes
 
 
 def _is_event(event) -> bool:
@@ -244,13 +250,9 @@ def export_augmented(results, out_dir, datasets=None) -> Path:
     Waveform results become 16-bit PCM WAVs, spectrogram results the flat
     binary format. Re-running with identical inputs produces byte-identical
     files; manifest rows are emitted in input order with relative paths.
-    A previous run's manifest is removed before the first file is written,
-    so a directory holds a manifest only when its last run finished.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "augmented.jsonl"
-    manifest.unlink(missing_ok=True)
     rows: list[RecordManifest] = []
     for i, result in enumerate(results):
         record_id = f"aug-{i:05d}"
@@ -281,7 +283,62 @@ def export_augmented(results, out_dir, datasets=None) -> Path:
                 provenance=result.provenance.to_dict(),
             )
         )
-    return save_manifest(rows, manifest)
+    return save_manifest(rows, out_dir / "augmented.jsonl")
+
+
+@contextmanager
+def staged(out_dir, owned: re.Pattern):
+    """A new directory beside `out_dir` that replaces it once the block
+    finishes, and is removed if the block fails.
+
+    `out_dir` may be absent, or hold only `SNAPSHOT` and files whose names
+    `owned` matches; any other file is a config error, and nothing is
+    deleted. Its manifests (`*.jsonl`) are removed first, so a directory
+    holds a manifest only when its last run finished. Stages that killed
+    runs left beside it are removed before the new one is made (`_sweep`).
+    """
+    out_dir = Path(out_dir).resolve()
+    if out_dir.exists():
+        foreign = sorted(n for n in os.listdir(out_dir) if not (owned.fullmatch(n) or n == SNAPSHOT))
+        if foreign:
+            raise InvalidConfig(f"{out_dir} holds files this run does not write: {foreign[:3]}")
+        for manifest in out_dir.glob("*.jsonl"):
+            manifest.unlink()
+    _sweep(out_dir)
+    stage = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
+    old = out_dir.with_name(f".{out_dir.name}.old-{os.getpid()}")
+    stage.mkdir(parents=True)
+    try:
+        yield stage
+        if out_dir.exists():
+            out_dir.rename(old)
+        stage.rename(out_dir)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def _sweep(out_dir: Path) -> None:
+    """Remove each `.<name>.partial-<pid>` and `.<name>.old-<pid>` beside
+    `out_dir` whose process no longer runs; no other name is touched, nor a
+    pid of more than 9 digits, which no kernel gives and `os.kill` rejects."""
+    stage = re.compile(rf"\.{re.escape(out_dir.name)}\.(?:partial|old)-([0-9]{{1,9}})")
+    if out_dir.parent.is_dir():
+        for path in list(out_dir.parent.iterdir()):
+            match = stage.fullmatch(path.name)
+            if match and not _running(int(match[1])):
+                shutil.rmtree(path, ignore_errors=True)
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        pass
+    return True
 
 
 def pair_records(

@@ -6,6 +6,7 @@ configuration of each step: padding is uniform noise in [-PAD_EPS, PAD_EPS]
 and the mel scale is HTK.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -70,6 +71,14 @@ class Spectrogram:
         object.__setattr__(self, "bins", arr)
 
 
+def sample_count(seconds: float, rate: int, name: str) -> int:
+    """round(seconds * rate): the length of a configured span; a config error
+    when no array could hold that many samples."""
+    if not seconds * rate < sys.maxsize:
+        raise InvalidConfig(f"{name} spans more samples at {rate} Hz than an array holds")
+    return round(seconds * rate)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     target_rate: int = 16000
@@ -95,8 +104,9 @@ class PipelineConfig:
         for name in ("clip_seconds", "mel_bins", "frames", "norm_std"):
             if getattr(self, name) <= 0:
                 raise InvalidConfig(f"{name} must be positive, got {getattr(self, name)}")
+        sample_count(self.clip_seconds, self.target_rate, "clip_seconds")
         for name in ("window_ms", "hop_ms"):
-            if round(getattr(self, name) / 1000.0 * self.target_rate) < 1:
+            if sample_count(getattr(self, name) / 1000.0, self.target_rate, name) < 1:
                 raise InvalidConfig(f"{name} must span at least one sample at {self.target_rate} Hz")
 
 

@@ -6,6 +6,7 @@ so mask, mixing, and label behavior can be verified against known ground
 truth without any real recordings.
 """
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,11 +16,12 @@ from .audio_io import write_wav
 from .dataset import RecordManifest, save_manifest
 from .errors import InvalidConfig, reject_non_finite
 from .labels import FOUR_CLASS
-from .pipeline import Waveform, bandpass
+from .pipeline import Waveform, bandpass, sample_count
 from .rng import derive_rng, derive_seed
 
 # passband of the noise floor under every record
 NOISE_BAND = (50.0, 1500.0)
+CORPUS_FILES = re.compile(r"corpus\.jsonl|synth-[a-z]+-\d{3,}\.wav")  # what make_corpus writes
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class SynthSpec:
             raise InvalidConfig(f"unknown class {self.label!r}")
         if self.duration_s <= 0 or self.sample_rate <= 0:
             raise InvalidConfig("duration and sample rate must be positive")
-        if round(self.duration_s * self.sample_rate) < 1:
+        if sample_count(self.duration_s, self.sample_rate, "duration_s") < 1:
             raise InvalidConfig(f"{self.duration_s} s at {self.sample_rate} Hz rounds to no sample")
         if self.n_events < 0:
             raise InvalidConfig("n_events must be non-negative")

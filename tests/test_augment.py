@@ -55,6 +55,18 @@ def test_config_rejects_non_finite_floats(cls, field, value):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize(
+    ("cls", "field"),
+    [(SynthSpec, "duration_s"), (CorpusPlan, "duration_s"), (PipelineConfig, "clip_seconds"),
+     (PipelineConfig, "window_ms"), (PipelineConfig, "hop_ms")],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_config_rejects_spans_no_array_holds(cls, field):
+    """1e308 is finite, but its sample count is not."""
+    with pytest.raises(InvalidConfig, match=f"{field} spans more samples"):
+        cls(**{field: 1e308})
+
+
 @pytest.fixture(scope="module")
 def mixed_lengths(tmp_path_factory):
     """Two 2 s records per class; one of each class cut to 1 s, so patchmix

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import shutil
@@ -16,10 +17,12 @@ from lungmix import cli
 from lungmix.audio_io import read_spectrogram, read_wav, write_wav
 from lungmix.augment import AugmentPlan
 from lungmix.cli import EXIT_CODES, build_parser, main
-from lungmix.errors import InvalidConfig, LungmixError
+from lungmix.errors import InvalidConfig, LungmixError, NumericalError
 from lungmix.masks import MixParams
 from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform
 from lungmix.synth import CorpusPlan
+
+synth = importlib.import_module("lungmix.synth")  # the package's `synth` is the function
 
 
 def run_digest(out_dir):
@@ -394,14 +397,62 @@ def huge_fmt_chunk(broken):
     return "cannot read WAV"
 
 
-def foreign_file_in_out(corpus, tmp_path):
-    """An augment run whose --out holds a file augment did not write: gives
-    the exit code and what --out holds afterwards."""
+def foreign_file_in_out(command, *flags):
+    """A `command` run whose --out holds a file it does not write: gives the
+    exit code and what --out holds afterwards."""
+
+    def run(corpus, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        rc = run_command(command, corpus, out, *flags)
+        return rc, sorted(p.name for p in out.iterdir())
+
+    return run
+
+
+def synth_failing_write(rerun):
+    """A seed-5 synth whose third WAV write raises OSError, into a finished
+    seed-0 corpus if `rerun`, else into nothing: gives the exit code, what
+    is left beside the corpus, and whether --out holds exactly the seed-0
+    files but the manifest (or nothing at all on a first run)."""
+
+    def run(corpus, tmp_path):
+        out = tmp_path / "o"
+        plan = ["--per-class", "1", "--duration", "1", "--n-events", "1"]
+        before = {}
+        if rerun:
+            assert run_command("synth", corpus, out, *plan, "--seed", "0") == 0
+            before = files(out)
+            del before["corpus.jsonl"]
+        real, writes = synth.write_wav, []
+
+        def failing_write(*args):
+            writes.append(args)
+            if len(writes) == 3:
+                raise OSError("no space left on device")
+            real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth, "write_wav", failing_write)
+            rc = run_command("synth", corpus, out, *plan, "--seed", "5")
+        left = files(out) if out.exists() else {}
+        return rc, sorted(p.name for p in tmp_path.iterdir()), left == before
+
+    return run
+
+
+def preprocess_fails(corpus, tmp_path):
+    """A preprocess run whose computation fails: gives the exit code and
+    whether --out exists."""
     out = tmp_path / "o"
-    out.mkdir()
-    (out / "notes.txt").write_text("keep me")
-    rc = augment_lungmix(corpus, out)
-    return rc, sorted(p.name for p in out.iterdir())
+
+    def failing(*args):
+        raise NumericalError("spectrogram contains NaN or Inf")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "preprocess", failing)
+        return run_command("preprocess", corpus, out), out.exists()
 
 
 def nan_spectrogram(corpus, tmp_path):
@@ -462,7 +513,25 @@ FAULTS = [
     pytest.param(output_rates_at_8khz, (0, {8000}), id="outputs-follow-pipeline-rate"),
     pytest.param(failed_rerun, (3, False), id="failed-rerun-leaves-no-manifest"),
     pytest.param(failed_midway, (3, ["broken"], []), id="failed-run-leaves-no-output"),
-    pytest.param(foreign_file_in_out, (2, ["notes.txt"]), id="out-holds-foreign-file"),
+    pytest.param(
+        foreign_file_in_out("augment", "--pairs", "2", "--seed", "7"), (2, ["notes.txt"]),
+        id="out-holds-foreign-file",
+    ),
+    pytest.param(foreign_file_in_out("synth"), (2, ["notes.txt"]), id="synth-out-holds-foreign-file"),
+    pytest.param(synth_failing_write(True), (4, ["o"], True), id="synth-failed-rerun-leaves-no-manifest"),
+    pytest.param(synth_failing_write(False), (4, [], True), id="synth-failed-run-leaves-no-output"),
+    pytest.param(preprocess_fails, (3, False), id="preprocess-failure-leaves-no-output"),
+    pytest.param(
+        config_error("--duration", "1e308", command="synth"), (2, False), id="synth-overflowing-duration"
+    ),
+    pytest.param(
+        config_error("--clip-seconds", "1e308", command="preprocess"), (2, False),
+        id="preprocess-overflowing-clip-seconds",
+    ),
+    pytest.param(
+        config_error(config={"pipeline": {"hop_ms": 1e308}}, command="preprocess"), (2, False),
+        id="preprocess-overflowing-hop-ms",
+    ),
     pytest.param(nan_spectrogram, ("NumericalError", 3), id="nan-spectrogram-is-data-error"),
     pytest.param(
         config_error(config={"augment": {"n_pairs": 2.5}}), (2, False), id="float-n-pairs"

@@ -1,5 +1,6 @@
 """Smoke run of scripts/run_synthetic_experiment.py, the library's one
-script caller: it must run end to end and print its Se/Sp/Sc table."""
+script caller: it must run end to end, print its Se/Sp/Sc table and leave
+only the directories it publishes."""
 
 import subprocess
 import sys
@@ -22,3 +23,9 @@ def test_small_run_prints_the_score_table(tmp_path):
         se, sp, sc = map(float, row.split()[1:])
         assert all(0.0 <= v <= 100.0 for v in (se, sp, sc))
         assert abs((se + sp) / 2 - sc) <= 0.011
+    # every directory was published whole, with no stage left beside it
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "aug_cutmix", "aug_lungmix", "aug_mixup", "aug_patchmix", "eval", "train",
+    ]
+    assert all((out / name / "corpus.jsonl").exists() for name in ("train", "eval"))
