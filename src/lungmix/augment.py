@@ -27,7 +27,7 @@ import numpy as np
 
 from .audio_io import read_wav
 from .dataset import PAIRINGS, RecordManifest, export_augmented, pair_records, resolve_audio_path
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_fields
 from .labels import FOUR_CLASS, MODES, LabelVector
 from .masks import MixParams, loudness_mask
 from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
@@ -63,6 +63,7 @@ class AugmentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if self.strategy not in STRATEGIES:
             raise InvalidConfig(f"unknown strategy {self.strategy!r}")
         if self.interpolation not in MODES:

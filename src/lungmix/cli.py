@@ -11,15 +11,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_wav
 from .augment import AugmentPlan, augment_corpus
 from .dataset import AUGMENT_FILES, PAIRINGS, SNAPSHOT, align_records, load_label_maps, load_manifest
 from .dataset import read_jsonl, staged
-from .errors import InvalidConfig, LungmixError
+from .errors import InvalidConfig, LungmixError, fits
 from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
 from .metrics import score
@@ -46,36 +45,19 @@ def _load_config(path) -> dict:
     return data
 
 
-def _accepts(annotation, value) -> bool:
-    """Whether a JSON value fits a config field's annotation: `bool` is not
-    an `int`, a `float` is finite and may be an `int`, and `X | None` also
-    takes null."""
-    if get_args(annotation):
-        return any(_accepts(arm, value) for arm in get_args(annotation))
-    if isinstance(value, bool):
-        return annotation is bool
-    if annotation is float:
-        # false for NaN and inf, and for an int too large to be a float
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, annotation)
-
-
 def _section(config: dict, name: str, cls, args):
     """`cls` built from the config file's `name` section, overlaid with every
-    flag given on the command line whose dest is a field of `cls`."""
+    flag given on the command line whose dest is a field of `cls`; `cls`
+    checks the values."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise InvalidConfig(f"config section {name!r} must be a JSON object")
-    types = get_type_hints(cls)
-    flags = {k: v for k, v in vars(args).items() if k in types and v is not None}
-    values = {**section, **flags}
-    for key, value in values.items():
-        if key not in types:
-            raise InvalidConfig(f"bad {name} config: unknown key {key!r}")
-        if not _accepts(types[key], value):
-            kind = getattr(types[key], "__name__", types[key])
-            raise InvalidConfig(f"bad {name} config: {key} must be {kind}, got {value!r}")
-    return cls(**values)
+    names = {f.name for f in fields(cls)}
+    unknown = section.keys() - names
+    if unknown:
+        raise InvalidConfig(f"bad {name} config: unknown keys {sorted(unknown)}")
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return cls(**{**section, **flags})
 
 
 def _configure(args, **classes) -> tuple[int, dict]:
@@ -90,7 +72,7 @@ def _configure(args, **classes) -> tuple[int, dict]:
     if config.get("command", args.command) != args.command:
         raise InvalidConfig(f"config is for command {config['command']!r}, not {args.command!r}")
     seed = config.get("master_seed", 0) if args.master_seed is None else args.master_seed
-    if not _accepts(int, seed):
+    if not fits(int, seed):
         raise InvalidConfig(f"master_seed must be an integer, got {seed!r}")
     return seed, {name: _section(config, name, cls, args) for name, cls in classes.items()}
 
@@ -269,7 +251,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_CODES.get(exc.category, 3)
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(json.dumps({"error": str(exc), "category": "io"}), file=sys.stderr)
         return 4
 

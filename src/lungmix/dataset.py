@@ -16,13 +16,12 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import write_spectrogram, write_wav
-from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel
+from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel, fits
 from .labels import FOUR_CLASS
 from .pipeline import Spectrogram, Waveform
 
@@ -45,10 +44,7 @@ def _is_event(event) -> bool:
         return False
     start, end, label = event
     # an int of any size is finite, but too large for math.isfinite
-    seconds = all(
-        isinstance(t, Real) and not isinstance(t, bool) and (isinstance(t, int) or math.isfinite(t))
-        for t in (start, end)
-    )
+    seconds = all(fits(float, t) and (isinstance(t, int) or math.isfinite(t)) for t in (start, end))
     return seconds and isinstance(label, str) and 0 <= start <= end
 
 
@@ -280,7 +276,7 @@ def export_augmented(results, out_dir, datasets=None) -> Path:
                 label_raw=result.label.name,
                 label_unified=result.label.name,
                 soft_target=soft,
-                provenance=result.provenance.to_dict(),
+                provenance=asdict(result.provenance),
             )
         )
     return save_manifest(rows, out_dir / "augmented.jsonl")

@@ -86,10 +86,6 @@ class LabelVector:
     def name(self) -> str:
         return self.schema.category_name(self.bits)
 
-    @property
-    def category_index(self) -> int:
-        return self.bits
-
 
 @dataclass(frozen=True)
 class SoftTriple:
@@ -108,14 +104,10 @@ class InterpolatedLabel:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the combined loss; lambda2=None applies the rescale rule."""
+    """Weight of the mixup term in the combined loss, whose CE term always has
+    weight 1; lambda2=None applies the rescale rule."""
 
-    lambda1: float = 1.0
     lambda2: float | None = None
-
-    def __post_init__(self):
-        if self.lambda1 != 1.0:
-            raise InvalidConfig("lambda1 is fixed to 1")
 
 
 def _check_schema(y_a: LabelVector, y_b: LabelVector) -> None:
@@ -160,7 +152,7 @@ def cross_entropy(logits, y: LabelVector) -> float:
         )
     shifted = logits - logits.max()
     log_softmax = shifted - math.log(np.exp(shifted).sum())
-    return float(-log_softmax[y.category_index])
+    return float(-log_softmax[y.bits])
 
 
 def mixup_loss(logits, y_a: LabelVector, y_b: LabelVector, lam: float) -> float:
@@ -192,4 +184,4 @@ def lungmix_loss(
         lam2 = 0.0
     else:
         lam2 = ce_term / mix_term
-    return weights.lambda1 * ce_term + lam2 * mix_term
+    return ce_term + lam2 * mix_term

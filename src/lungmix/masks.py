@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyAudio, InvalidConfig, ShapeMismatch, reject_non_finite
+from .errors import EmptyAudio, InvalidConfig, ShapeMismatch, check_fields
 from .pipeline import Waveform
 
 SEMANTICS = ("loudness_precedence", "max")
@@ -30,7 +30,7 @@ class MixParams:
     semantics: str = "loudness_precedence"
 
     def __post_init__(self):
-        reject_non_finite(self)
+        check_fields(self)
         if self.alpha <= 0:
             raise InvalidConfig(f"alpha must be positive, got {self.alpha}")
         if self.lam is not None and not (0.0 <= self.lam <= 1.0):

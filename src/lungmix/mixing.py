@@ -9,7 +9,7 @@ request's interpolation mode and records provenance. Everything is a pure
 function of the request, so identical requests regenerate bit-identical output.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class Provenance:
     semantics: str | None = None
     rolled: str | None = None
     roll_offset: int | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio_io import write_wav
 from .dataset import RecordManifest, save_manifest
-from .errors import InvalidConfig, reject_non_finite
+from .errors import InvalidConfig, check_fields
 from .labels import FOUR_CLASS
 from .pipeline import Waveform, bandpass, sample_count
 from .rng import derive_rng, derive_seed
@@ -39,7 +39,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        reject_non_finite(self)
+        check_fields(self)
         if self.label not in FOUR_CLASS.categories():
             raise InvalidConfig(f"unknown class {self.label!r}")
         if self.duration_s <= 0 or self.sample_rate <= 0:
@@ -80,36 +80,20 @@ def _event_slots(
     return onsets
 
 
-def _add_crackles(
-    x: np.ndarray, spec: SynthSpec, rng: np.random.Generator
+def _add_events(
+    x: np.ndarray, spec: SynthSpec, rng: np.random.Generator, kind: str, event_ms: float,
+    min_width: int, shape,
 ) -> list[tuple[float, float, str]]:
+    """Add `shape(size, width)` at each of `n_events` onsets, all drawn before
+    the first shape, and annotate each event as `kind`."""
     rate = spec.sample_rate
-    width = max(int(round(spec.burst_ms / 1000.0 * rate)), 1)
+    width = max(int(round(event_ms / 1000.0 * rate)), min_width)
     events = []
-    for onset_s in _event_slots(spec.n_events, spec.duration_s, spec.burst_ms / 1000.0, rng):
+    for onset_s in _event_slots(spec.n_events, spec.duration_s, event_ms / 1000.0, rng):
         start = int(round(onset_s * rate))
         stop = min(start + width, x.size)
-        t = np.arange(stop - start)
-        burst = rng.uniform(-1.0, 1.0, stop - start) * np.exp(-5.0 * t / width)
-        x[start:stop] += spec.burst_amp * burst
-        events.append((start / rate, stop / rate, "crackle"))
-    return events
-
-
-def _add_wheezes(
-    x: np.ndarray, spec: SynthSpec, rng: np.random.Generator
-) -> list[tuple[float, float, str]]:
-    rate = spec.sample_rate
-    tone_hz = spec.tone_hz if spec.tone_hz is not None else float(rng.uniform(100.0, 1000.0))
-    width = max(int(round(spec.tone_ms / 1000.0 * rate)), 2)
-    events = []
-    for onset_s in _event_slots(spec.n_events, spec.duration_s, spec.tone_ms / 1000.0, rng):
-        start = int(round(onset_s * rate))
-        stop = min(start + width, x.size)
-        t = np.arange(stop - start)
-        envelope = np.hanning(stop - start)
-        x[start:stop] += spec.tone_amp * envelope * np.sin(2.0 * np.pi * tone_hz * t / rate)
-        events.append((start / rate, stop / rate, "wheeze"))
+        x[start:stop] += shape(stop - start, width)
+        events.append((start / rate, stop / rate, kind))
     return events
 
 
@@ -119,11 +103,19 @@ def synth(spec: SynthSpec) -> tuple[Waveform, RecordManifest]:
     n = int(round(spec.duration_s * spec.sample_rate))
     x = _noise_floor(n, spec.noise_floor, spec.sample_rate, rng)
 
+    def crackle(size: int, width: int) -> np.ndarray:  # exponentially decaying noise burst
+        return spec.burst_amp * (rng.uniform(-1.0, 1.0, size) * np.exp(-5.0 * np.arange(size) / width))
+
+    def wheeze(size: int, width: int) -> np.ndarray:  # Hann-enveloped tone
+        t = np.arange(size)
+        return spec.tone_amp * np.hanning(size) * np.sin(2.0 * np.pi * tone_hz * t / spec.sample_rate)
+
     events: list[tuple[float, float, str]] = []
     if spec.label in ("crackle", "both"):
-        events += _add_crackles(x, spec, rng)
+        events += _add_events(x, spec, rng, "crackle", spec.burst_ms, 1, crackle)
     if spec.label in ("wheeze", "both"):
-        events += _add_wheezes(x, spec, rng)
+        tone_hz = spec.tone_hz if spec.tone_hz is not None else float(rng.uniform(100.0, 1000.0))
+        events += _add_events(x, spec, rng, "wheeze", spec.tone_ms, 2, wheeze)
     events.sort()
 
     record = RecordManifest(
@@ -148,6 +140,7 @@ class CorpusPlan:
     n_events: int = 3
 
     def __post_init__(self):
+        check_fields(self)
         if self.per_class < 1:
             raise InvalidConfig(f"per_class must be at least 1, got {self.per_class}")
         self.spec("normal", 0)  # SynthSpec checks duration, sample rate and n_events

@@ -42,24 +42,51 @@ def test_plan_rejects_zero_pairs():
 CONFIG_CLASSES = (PipelineConfig, masks.MixParams, SynthSpec, AugmentPlan, CorpusPlan)
 
 
-def float_fields(cls) -> list[str]:
-    hints = get_type_hints(cls)
-    return [f.name for f in fields(cls) if float in (hints[f.name], *get_args(hints[f.name]))]
+def annotated(*kinds) -> list[tuple[type, str]]:
+    """(class, field) for every field of a config class whose annotation
+    admits one of `kinds`."""
+    pairs = []
+    for cls in CONFIG_CLASSES:
+        hints = get_type_hints(cls)
+        pairs += [(cls, f.name) for f in fields(cls) if {*kinds} & {hints[f.name], *get_args(hints[f.name])}]
+    return pairs
+
+
+def class_name(x):
+    return getattr(x, "__name__", x)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
-@pytest.mark.parametrize("cls, field", [(cls, name) for cls in CONFIG_CLASSES for name in float_fields(cls)],
-                         ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("cls, field", annotated(float), ids=class_name)
 def test_config_rejects_non_finite_floats(cls, field, value):
     with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 1.5], ids=repr)
+@pytest.mark.parametrize("cls, field", annotated(int), ids=class_name)
+def test_config_int_fields_reject_bools_and_floats(cls, field, value):
+    with pytest.raises(InvalidConfig, match=f"{field} must be int"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", annotated(int, float), ids=class_name)
+def test_config_rejects_ints_too_large_for_a_float(cls, field):
+    with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+        cls(**{field: 10**400})
+
+
+@pytest.mark.parametrize("cls, field", annotated(int), ids=class_name)
+def test_config_int_fields_accept_numpy_integers(cls, field):
+    default = getattr(cls(), field)
+    assert getattr(cls(**{field: np.int64(default)}), field) == default
 
 
 @pytest.mark.parametrize(
     ("cls", "field"),
     [(SynthSpec, "duration_s"), (CorpusPlan, "duration_s"), (PipelineConfig, "clip_seconds"),
      (PipelineConfig, "window_ms"), (PipelineConfig, "hop_ms")],
-    ids=lambda x: getattr(x, "__name__", x),
+    ids=class_name,
 )
 def test_config_rejects_spans_no_array_holds(cls, field):
     """1e308 is finite, but its sample count is not."""

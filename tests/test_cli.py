@@ -532,6 +532,17 @@ FAULTS = [
         config_error(config={"pipeline": {"hop_ms": 1e308}}, command="preprocess"), (2, False),
         id="preprocess-overflowing-hop-ms",
     ),
+    pytest.param(
+        config_error("--sample-rate", "1" + "0" * 400, command="synth"), (2, False),
+        id="synth-sample-rate-too-large-for-a-float",
+    ),
+    pytest.param(
+        config_error("--target-rate", "1" + "0" * 400, command="preprocess"), (2, False),
+        id="preprocess-target-rate-too-large-for-a-float",
+    ),
+    pytest.param(
+        config_error("--duration", "1e12", command="synth"), (4, False), id="synth-out-of-memory"
+    ),
     pytest.param(nan_spectrogram, ("NumericalError", 3), id="nan-spectrogram-is-data-error"),
     pytest.param(
         config_error(config={"augment": {"n_pairs": 2.5}}), (2, False), id="float-n-pairs"

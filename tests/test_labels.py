@@ -205,11 +205,6 @@ class TestLungmixLoss:
         assert abs((total - ce) - ce) < 1e-9  # second term rescaled to the first
         assert abs((ce / mix) * mix - ce) < 1e-9
 
-    def test_lambda1_fixed(self):
-        for lambda1 in (0.5, 2.0):
-            with pytest.raises(InvalidConfig):
-                LossWeights(lambda1=lambda1)
-
 
 class TestSchemaValidation:
     def test_duplicate_abnormal_names_raise(self):
