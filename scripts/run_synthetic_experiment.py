@@ -11,15 +11,27 @@ per strategy) is published through `lungmix.dataset.staged`: written into a
 new directory beside it and renamed into place only once complete, so an
 interrupted run leaves no manifest that looks finished.
 
-`main` first calls `lungmix.parallel.claim_process`, so OpenBLAS keeps to
-one thread and each record's multi-MB filter and log-mel buffers stay in
-glibc's main heap, which the augment worker shares, instead of being
-page-faulted in again for the next record. It runs on one core: features are
-computed in the main thread, and augmentation uses one worker.
+Per-record work runs on one pool of `--workers` threads (default: the usable
+cores, at most `lungmix.augment.MAX_WORKERS`): `train` and `eval` are
+synthesised concurrently, each record's features are computed on the pool,
+and every strategy augments with that many workers. Each record's noise
+stream descends from the seed and its id, so the printed table and every
+file under `--out` are the same bytes at any worker count. Every plan is
+built before the first directory is published, so a bad argument writes
+nothing: like the `lungmix` command, a `LungmixError` prints one JSON line on
+stderr and exits 2 (config), 3 (data) or 4 (I/O, as does an `OSError`).
+
+`main` first calls `lungmix.parallel.claim_process`, before the pool starts,
+so OpenBLAS keeps to one thread and every thread allocates from glibc's main
+heap, where each record's multi-MB filter and log-mel buffers stay instead of
+being page-faulted in again for the next record.
 """
 
 import argparse
+import json
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +39,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lungmix.audio_io import read_spectrogram, read_wav
-from lungmix.augment import AugmentPlan, augment_corpus
+from lungmix.augment import MAX_WORKERS, AugmentPlan, augment_corpus
+from lungmix.cli import EXIT_CODES
 from lungmix.dataset import AUGMENT_FILES, load_manifest, resolve_audio_path, staged
+from lungmix.errors import LungmixError
 from lungmix.metrics import score
 from lungmix.parallel import claim_process
 from lungmix.pipeline import PipelineConfig, preprocess
@@ -79,6 +93,64 @@ def centroid_classifier(train_feats, train_labels):
     return predict
 
 
+def usable_cores():
+    """The cores this process may run on, at most `MAX_WORKERS`."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, MAX_WORKERS)
+
+
+def run(args):
+    out = Path(args.out)
+    cfg = PipelineConfig()
+    corpus = CorpusPlan(per_class=args.per_class)
+    plans = {
+        name: AugmentPlan(
+            strategy=strategy,
+            interpolation=mode,
+            n_pairs=args.pairs,
+            pairing="cross-class",
+            workers=args.workers,
+        )
+        for name, strategy, mode in STRATEGIES
+        if strategy is not None
+    }
+
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+
+        def load(manifest_path):
+            """The manifest's records and, in their order, their features."""
+            records = load_manifest(manifest_path)
+            return records, list(pool.map(lambda r: features(r, manifest_path, cfg, args.seed), records))
+
+        def synthesise(split, seed):
+            return publish(out / split, CORPUS_FILES, lambda d: make_corpus(d, corpus, seed))
+
+        train_manifest, eval_manifest = pool.map(synthesise, ("train", "eval"), (args.seed, args.seed + 1))
+        held_out, eval_feats = load(eval_manifest)
+        train, base_feats = load(train_manifest)
+        base_labels = [r.label_unified for r in train]
+
+        print(f"{'strategy':>10} {'Se':>7} {'Sp':>7} {'Sc':>7}")
+        for name, _, _ in STRATEGIES:
+            feats, labels = list(base_feats), list(base_labels)
+            if name in plans:
+                aug_manifest = publish(
+                    out / f"aug_{name}", AUGMENT_FILES,
+                    lambda d: augment_corpus(train, train_manifest, d, plans[name], cfg, args.seed),
+                )
+                augmented, aug_feats = load(aug_manifest)
+                feats += aug_feats
+                labels += [rec.label_unified for rec in augmented]
+            predict = centroid_classifier(feats, labels)
+            pairs = [(r.label_unified, predict(f)) for r, f in zip(held_out, eval_feats)]
+            report = score(pairs)
+            fmt = lambda v: "  n/a" if v is None else f"{v:7.2f}"
+            print(f"{name:>10} {fmt(report.se)} {fmt(report.sp)} {fmt(report.sc)}")
+
+
 def main():
     claim_process()
     parser = argparse.ArgumentParser(description=__doc__)
@@ -86,43 +158,14 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--per-class", type=int, default=6)
     parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--workers", type=int, default=usable_cores())
     args = parser.parse_args()
-
-    out = Path(args.out)
-    cfg = PipelineConfig()
-
-    corpus = CorpusPlan(per_class=args.per_class)
-    train_manifest = publish(out / "train", CORPUS_FILES, lambda d: make_corpus(d, corpus, args.seed))
-    eval_manifest = publish(out / "eval", CORPUS_FILES, lambda d: make_corpus(d, corpus, args.seed + 1))
-    train = load_manifest(train_manifest)
-    held_out = load_manifest(eval_manifest)
-
-    eval_feats = [features(r, eval_manifest, cfg, args.seed) for r in held_out]
-    base_feats = [features(r, train_manifest, cfg, args.seed) for r in train]
-    base_labels = [r.label_unified for r in train]
-
-    print(f"{'strategy':>10} {'Se':>7} {'Sp':>7} {'Sc':>7}")
-    for name, strategy, mode in STRATEGIES:
-        feats, labels = list(base_feats), list(base_labels)
-        if strategy is not None:
-            plan = AugmentPlan(
-                strategy=strategy,
-                interpolation=mode,
-                n_pairs=args.pairs,
-                pairing="cross-class",
-            )
-            aug_manifest = publish(
-                out / f"aug_{name}", AUGMENT_FILES,
-                lambda d: augment_corpus(train, train_manifest, d, plan, cfg, args.seed),
-            )
-            augmented = load_manifest(aug_manifest)
-            feats += [features(r, aug_manifest, cfg, args.seed) for r in augmented]
-            labels += [rec.label_unified for rec in augmented]
-        predict = centroid_classifier(feats, labels)
-        pairs = [(r.label_unified, predict(f)) for r, f in zip(held_out, eval_feats)]
-        report = score(pairs)
-        fmt = lambda v: "  n/a" if v is None else f"{v:7.2f}"
-        print(f"{name:>10} {fmt(report.se)} {fmt(report.sp)} {fmt(report.sc)}")
+    try:
+        run(args)
+    except (LungmixError, OSError, MemoryError) as exc:
+        category = getattr(exc, "category", "io")
+        print(json.dumps({"error": str(exc), "category": category}), file=sys.stderr)
+        sys.exit(EXIT_CODES.get(category, 3))
 
 
 if __name__ == "__main__":

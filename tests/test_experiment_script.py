@@ -1,20 +1,44 @@
 """Smoke run of scripts/run_synthetic_experiment.py, the library's one
-script caller: it must run end to end, print its Se/Sp/Sc table and leave
-only the directories it publishes."""
+script caller: it must run end to end, print its Se/Sp/Sc table, leave only
+the directories it publishes, write the same bytes at any worker count, and
+reject a bad argument before it writes anything."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_experiment.py"
 
 
-def test_small_run_prints_the_score_table(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out", str(tmp_path / "out"),
-         "--per-class", "2", "--pairs", "2"],
-        capture_output=True, text=True, timeout=120,
-    )
+def run_script(*runs):
+    """Run the script once per (--out, flags), all at the same time; gives
+    each run's `CompletedProcess`, in order."""
+    procs = [
+        subprocess.Popen([sys.executable, str(SCRIPT), "--out", str(out), *flags],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for out, flags in runs
+    ]
+    done = []
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=120)
+        done.append(subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr))
+    return done
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """workers -> (--out, CompletedProcess) of a small run at 1 and 2 workers."""
+    outs = {w: tmp_path_factory.mktemp(f"workers{w}") / "out" for w in (1, 2)}
+    procs = run_script(*((out, ("--per-class", "2", "--pairs", "2", "--workers", str(w)))
+                         for w, out in outs.items()))
+    return {w: (out, proc) for (w, out), proc in zip(outs.items(), procs)}
+
+
+def test_small_run_prints_the_score_table(small_runs):
+    out, proc = small_runs[2]
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["strategy", "Se", "Sp", "Sc"]
@@ -24,8 +48,34 @@ def test_small_run_prints_the_score_table(tmp_path):
         assert all(0.0 <= v <= 100.0 for v in (se, sp, sc))
         assert abs((se + sp) / 2 - sc) <= 0.011
     # every directory was published whole, with no stage left beside it
-    out = tmp_path / "out"
     assert sorted(p.name for p in out.iterdir()) == [
         "aug_cutmix", "aug_lungmix", "aug_mixup", "aug_patchmix", "eval", "train",
     ]
     assert all((out / name / "corpus.jsonl").exists() for name in ("train", "eval"))
+
+
+def test_output_does_not_depend_on_the_worker_count(small_runs):
+    (out1, proc1), (out2, proc2) = small_runs[1], small_runs[2]
+    assert proc1.returncode == 0, proc1.stderr
+    assert proc2.returncode == 0, proc2.stderr
+    assert proc1.stdout == proc2.stdout
+    files1 = sorted(p.relative_to(out1) for p in out1.rglob("*"))
+    files2 = sorted(p.relative_to(out2) for p in out2.rglob("*"))
+    assert files1 == files2
+    for rel in files1:
+        if (out1 / rel).is_file():
+            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def test_bad_arguments_exit_2_before_writing(tmp_path):
+    bad = {
+        ("--pairs", "0"): "n_pairs must be at least 1, got 0",
+        ("--workers", "0"): "workers must be from 1 to 64, got 0",
+    }
+    outs = [tmp_path / f"out{i}" for i in range(len(bad))]
+    procs = run_script(*((out, ("--per-class", "1", *flags)) for out, flags in zip(outs, bad)))
+    for proc, message in zip(procs, bad.values()):
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr) == {"error": message, "category": "config"}
+        assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
