@@ -11,15 +11,16 @@ per strategy) is published through `lungmix.dataset.staged`: written into a
 new directory beside it and renamed into place only once complete, so an
 interrupted run leaves no manifest that looks finished.
 
-Per-record work runs on one pool of `--workers` threads (default: the usable
-cores, at most `lungmix.augment.MAX_WORKERS`): `train` and `eval` are
-synthesised concurrently, each record's features are computed on the pool,
-and every strategy augments with that many workers. Each record's noise
-stream descends from the seed and its id, so the printed table and every
-file under `--out` are the same bytes at any worker count. Every plan is
-built before the first directory is published, so a bad argument writes
-nothing: like the `lungmix` command, a `LungmixError` prints one JSON line on
-stderr and exits 2 (config), 3 (data) or 4 (I/O, as does an `OSError`).
+Per-record work runs on one thread per core the process may use (its CPU
+affinity, at most `lungmix.augment.MAX_WORKERS`; `taskset -c 0` gives one):
+`train` and `eval` are synthesised concurrently, each record's features are
+computed on the pool, and every strategy augments with that many workers.
+Each record's noise stream descends from the seed and its id, so the printed
+table and every file under `--out` are the same bytes at any worker count.
+Every plan is built before the first directory is published, so a bad
+argument writes nothing: like the `lungmix` command, a `LungmixError` prints
+one JSON line on stderr and exits 2 (config), 3 (data) or 4 (I/O, as does an
+`OSError`).
 
 `main` first calls `lungmix.parallel.claim_process`, before the pool starts,
 so OpenBLAS keeps to one thread and every thread allocates from glibc's main
@@ -28,7 +29,6 @@ being page-faulted in again for the next record.
 """
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -40,9 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lungmix.audio_io import read_spectrogram, read_wav
 from lungmix.augment import MAX_WORKERS, AugmentPlan, augment_corpus
-from lungmix.cli import EXIT_CODES
+from lungmix.cli import REPORTED, report
 from lungmix.dataset import AUGMENT_FILES, load_manifest, resolve_audio_path, staged
-from lungmix.errors import LungmixError
 from lungmix.metrics import score
 from lungmix.parallel import claim_process
 from lungmix.pipeline import PipelineConfig, preprocess
@@ -104,6 +103,7 @@ def usable_cores():
 
 def run(args):
     out = Path(args.out)
+    workers = usable_cores()
     cfg = PipelineConfig()
     corpus = CorpusPlan(per_class=args.per_class)
     plans = {
@@ -112,13 +112,13 @@ def run(args):
             interpolation=mode,
             n_pairs=args.pairs,
             pairing="cross-class",
-            workers=args.workers,
+            workers=workers,
         )
         for name, strategy, mode in STRATEGIES
         if strategy is not None
     }
 
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
 
         def load(manifest_path):
             """The manifest's records and, in their order, their features."""
@@ -158,14 +158,11 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--per-class", type=int, default=6)
     parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--workers", type=int, default=usable_cores())
     args = parser.parse_args()
     try:
         run(args)
-    except (LungmixError, OSError, MemoryError) as exc:
-        category = getattr(exc, "category", "io")
-        print(json.dumps({"error": str(exc), "category": category}), file=sys.stderr)
-        sys.exit(EXIT_CODES.get(category, 3))
+    except REPORTED as exc:
+        sys.exit(report(exc))
 
 
 if __name__ == "__main__":

@@ -239,21 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+REPORTED = (LungmixError, OSError, MemoryError)
+
+
+def report(exc) -> int:
+    """Print one of the `REPORTED` errors as a JSON line on stderr; gives its
+    exit code. An `OSError` or `MemoryError` counts as `io`."""
+    category = exc.category if isinstance(exc, LungmixError) else "io"
+    print(json.dumps({"error": str(exc), "category": category}), file=sys.stderr)
+    return EXIT_CODES.get(category, 3)
+
+
 def main(argv=None) -> int:
     claim_process()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LungmixError as exc:
-        print(
-            json.dumps({"error": str(exc), "category": exc.category}),
-            file=sys.stderr,
-        )
-        return EXIT_CODES.get(exc.category, 3)
-    except (OSError, MemoryError) as exc:
-        print(json.dumps({"error": str(exc), "category": "io"}), file=sys.stderr)
-        return 4
+    except REPORTED as exc:
+        return report(exc)
 
 
 def entry() -> None:

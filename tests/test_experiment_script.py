@@ -4,6 +4,7 @@ the directories it publishes, write the same bytes at any worker count, and
 reject a bad argument before it writes anything."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,20 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_experiment.py"
 
 
+def one_core():
+    """Pin the calling process to one of the cores this one may use, so the
+    script runs a single worker."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def run_script(*runs):
-    """Run the script once per (--out, flags), all at the same time; gives
-    each run's `CompletedProcess`, in order."""
+    """Run the script once per (--out, flags, preexec_fn), all at the same
+    time; gives each run's `CompletedProcess`, in order."""
     procs = [
         subprocess.Popen([sys.executable, str(SCRIPT), "--out", str(out), *flags],
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for out, flags in runs
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                         preexec_fn=preexec)
+        for out, flags, preexec in runs
     ]
     done = []
     for proc in procs:
@@ -30,15 +38,17 @@ def run_script(*runs):
 
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
-    """workers -> (--out, CompletedProcess) of a small run at 1 and 2 workers."""
-    outs = {w: tmp_path_factory.mktemp(f"workers{w}") / "out" for w in (1, 2)}
-    procs = run_script(*((out, ("--per-class", "2", "--pairs", "2", "--workers", str(w)))
-                         for w, out in outs.items()))
-    return {w: (out, proc) for (w, out), proc in zip(outs.items(), procs)}
+    """"all" and "one" -> (--out, CompletedProcess) of a small run on every
+    core this process may use and on one core."""
+    pins = {"all": None, "one": one_core}
+    outs = {name: tmp_path_factory.mktemp(name) / "out" for name in pins}
+    procs = run_script(*((outs[name], ("--per-class", "2", "--pairs", "2"), pin)
+                         for name, pin in pins.items()))
+    return {name: (outs[name], proc) for name, proc in zip(pins, procs)}
 
 
 def test_small_run_prints_the_score_table(small_runs):
-    out, proc = small_runs[2]
+    out, proc = small_runs["all"]
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["strategy", "Se", "Sp", "Sc"]
@@ -55,7 +65,7 @@ def test_small_run_prints_the_score_table(small_runs):
 
 
 def test_output_does_not_depend_on_the_worker_count(small_runs):
-    (out1, proc1), (out2, proc2) = small_runs[1], small_runs[2]
+    (out1, proc1), (out2, proc2) = small_runs["one"], small_runs["all"]
     assert proc1.returncode == 0, proc1.stderr
     assert proc2.returncode == 0, proc2.stderr
     assert proc1.stdout == proc2.stdout
@@ -68,14 +78,8 @@ def test_output_does_not_depend_on_the_worker_count(small_runs):
 
 
 def test_bad_arguments_exit_2_before_writing(tmp_path):
-    bad = {
-        ("--pairs", "0"): "n_pairs must be at least 1, got 0",
-        ("--workers", "0"): "workers must be from 1 to 64, got 0",
-    }
-    outs = [tmp_path / f"out{i}" for i in range(len(bad))]
-    procs = run_script(*((out, ("--per-class", "1", *flags)) for out, flags in zip(outs, bad)))
-    for proc, message in zip(procs, bad.values()):
-        assert proc.returncode == 2, proc.stderr
-        assert json.loads(proc.stderr) == {"error": message, "category": "config"}
-        assert proc.stdout == ""
+    (proc,) = run_script((tmp_path / "out", ("--per-class", "1", "--pairs", "0"), None))
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr) == {"error": "n_pairs must be at least 1, got 0", "category": "config"}
+    assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
