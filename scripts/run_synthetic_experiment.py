@@ -11,7 +11,7 @@ per strategy) is published through `lungmix.dataset.staged`: written into a
 new directory beside it and renamed into place only once complete, so an
 interrupted run leaves no manifest that looks finished.
 
-Per-record work runs on one thread per core the process may use (its CPU
+Per-record work runs on one pool, a thread per core the process may use (its CPU
 affinity, at most `lungmix.augment.MAX_WORKERS`; `taskset -c 0` gives one):
 `train` and `eval` are synthesised concurrently, each record's features are
 computed on the pool, and every strategy augments with that many workers.
