@@ -17,7 +17,7 @@ from pathlib import Path
 from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_wav
 from .augment import AugmentPlan, augment_corpus
 from .dataset import AUGMENT_FILES, PAIRINGS, SNAPSHOT, align_records, load_label_maps, load_manifest
-from .dataset import read_jsonl, staged
+from .dataset import read_json, read_jsonl, staged
 from .errors import InvalidConfig, LungmixError, fits
 from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
@@ -29,20 +29,6 @@ from .synth import CORPUS_FILES, CorpusPlan, make_corpus
 from .rng import derive_rng
 
 EXIT_CODES = {"config": 2, "data": 3, "io": 4}
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise InvalidConfig(f"config file {path} is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidConfig("config file must hold a JSON object")
-    return data
 
 
 def _section(config: dict, name: str, cls, args):
@@ -65,7 +51,7 @@ def _configure(args, **classes) -> tuple[int, dict]:
     --config and the flags. Every value is checked here, before any output
     exists; the config may hold only `command`, `master_seed` and the
     sections of `args.command`."""
-    config = _load_config(args.config)
+    config = {} if args.config is None else read_json(args.config, "config file")
     unknown = config.keys() - {"command", "master_seed", *classes}
     if unknown:
         raise InvalidConfig(f"unknown config keys for {args.command}: {sorted(unknown)}")
@@ -77,27 +63,28 @@ def _configure(args, **classes) -> tuple[int, dict]:
     return seed, {name: _section(config, name, cls, args) for name, cls in classes.items()}
 
 
-def _write_snapshot(out_dir: Path, command: str, seed: int, **sections) -> None:
+def _snapshot(command: str, seed: int, **sections) -> bytes:
     """The run's resolved config, itself a --config that replays the run."""
     snapshot = {"command": command, "master_seed": seed}
     snapshot.update((name, asdict(cfg)) for name, cfg in sections.items())
-    with open(out_dir / SNAPSHOT, "w") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return (json.dumps(snapshot, indent=2, sort_keys=True) + "\n").encode()
 
 
 def cmd_preprocess(args) -> int:
     seed, sections = _configure(args, pipeline=PipelineConfig)
+    out_dir, snapshot = Path(args.out), _snapshot(args.command, seed, **sections)
+    # runs share --out only at one config, so its one snapshot replays every file
+    if (out_dir / SNAPSHOT).exists() and (out_dir / SNAPSHOT).read_bytes() != snapshot:
+        raise InvalidConfig(f"{out_dir / SNAPSHOT} holds another seed or config: use another --out")
     wave = read_wav(args.infile)
     processed, spec = preprocess(wave, sections["pipeline"], derive_rng(seed, "preprocess"))
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.infile).stem
     write_wav(out_dir / f"{stem}_preprocessed.wav", processed)
     write_spectrogram(out_dir / f"{stem}.spec", spec)
     if args.csv:
         write_spectrogram_csv(out_dir / f"{stem}.csv", spec)
-    _write_snapshot(out_dir, args.command, seed, **sections)
+    (out_dir / SNAPSHOT).write_bytes(snapshot)
     print(f"wrote {stem}_preprocessed.wav and {stem}.spec to {out_dir}")
     return 0
 
@@ -111,7 +98,7 @@ def cmd_augment(args) -> int:
     out_dir = Path(args.out)
     with staged(out_dir, AUGMENT_FILES) as stage:
         manifest = augment_corpus(records, args.manifest, stage, plan, pipeline_cfg, seed)
-        _write_snapshot(stage, args.command, seed, **sections)
+        (stage / SNAPSHOT).write_bytes(_snapshot(args.command, seed, **sections))
     print(f"wrote {plan.n_pairs} augmented records, manifest at {out_dir / manifest.name}")
     return 0
 
@@ -121,7 +108,7 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out)
     with staged(out_dir, CORPUS_FILES) as stage:
         manifest = make_corpus(stage, sections["synth"], seed)
-        _write_snapshot(stage, args.command, seed, **sections)
+        (stage / SNAPSHOT).write_bytes(_snapshot(args.command, seed, **sections))
     print(f"wrote synthetic corpus manifest at {out_dir / manifest.name}")
     return 0
 
@@ -177,8 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # preprocess, augment and synth: the config file and the master seed
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument("--seed", dest="master_seed", type=int)
+    # augment and inspect-mask: the MixParams fields
+    mixing = argparse.ArgumentParser(add_help=False)
+    mixing.add_argument("--alpha", type=float)
+    mixing.add_argument("--lam", type=float)
+    mixing.add_argument("--density", dest="random_density", type=float)
+    mixing.add_argument("--semantics", choices=SEMANTICS)
 
     p = sub.add_parser("preprocess", parents=[common], help="resample, filter, fit, mel")
     p.add_argument("--in", dest="infile", required=True, help="input WAV")
@@ -188,21 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-low", type=float)
     p.add_argument("--band-high", type=float)
     p.add_argument("--clip-seconds", type=float)
-    p.add_argument("--seed", dest="master_seed", type=int)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("augment", parents=[common], help="mix pairs from a manifest")
+    p = sub.add_parser("augment", parents=[common, mixing], help="mix pairs from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--mode", dest="interpolation", choices=MODES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--seed", dest="master_seed", type=int)
     p.add_argument("--pairs", dest="n_pairs", type=int)
     p.add_argument("--pairing", choices=PAIRINGS)
-    p.add_argument("--density", dest="random_density", type=float)
-    p.add_argument("--semantics", choices=SEMANTICS)
     p.add_argument("--workers", type=int)
     p.add_argument(
         "--no-roll", dest="apply_roll", action="store_false", default=None,
@@ -217,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", dest="duration_s", type=float)
     p.add_argument("--sample-rate", type=int)
     p.add_argument("--n-events", type=int)
-    p.add_argument("--seed", dest="master_seed", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score a predictions JSONL")
@@ -225,14 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report as JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect-mask", help="dump mix masks as CSV")
+    p = sub.add_parser("inspect-mask", parents=[mixing], help="dump mix masks as CSV")
     p.add_argument("--a", dest="file_a", required=True)
     p.add_argument("--b", dest="file_b", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lam", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--density", dest="random_density", type=float)
-    p.add_argument("--semantics", choices=SEMANTICS)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_inspect_mask)
 
@@ -260,9 +244,5 @@ def main(argv=None) -> int:
         return report(exc)
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -117,12 +117,7 @@ def default_label_maps() -> dict[str, dict[str, str]]:
 
 
 def load_label_maps(path) -> dict[str, dict[str, str]]:
-    data = Path(path).read_bytes()
-    try:
-        raw = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise InvalidConfig(f"label maps {path} are not valid UTF-8 JSON: {exc}") from exc
-    return load_label_maps_data(raw)
+    return load_label_maps_data(read_json(path, "label maps"))
 
 
 def load_label_maps_data(raw: dict) -> dict[str, dict[str, str]]:
@@ -184,7 +179,7 @@ def align_records(records: list[RecordManifest], maps=None) -> list[RecordManife
     return aligned
 
 
-def load_manifest(path, check_audio: bool = True) -> list[RecordManifest]:
+def load_manifest(path) -> list[RecordManifest]:
     """Read a JSONL manifest, validating every line; order is preserved.
 
     Relative audio paths are resolved against the manifest's directory when
@@ -200,10 +195,25 @@ def load_manifest(path, check_audio: bool = True) -> list[RecordManifest]:
         except (ParseError, InvalidConfig, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         # an empty path resolves to the manifest's own directory, which exists
-        if check_audio and (not rec.audio_path or not resolve_audio_path(rec, path).exists()):
+        if not rec.audio_path or not resolve_audio_path(rec, path).exists():
             raise MissingAudio(f"{path}:{lineno}: audio file not found: {rec.audio_path!r}")
         records.append(rec)
     return records
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds. A file that cannot be read, is not
+    UTF-8 JSON or holds no object is an InvalidConfig naming it as `what`:
+    such a file configures a run, it is not data the run processes."""
+    try:
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise InvalidConfig(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def read_jsonl(path):
@@ -220,7 +230,7 @@ def read_jsonl(path):
                 continue
             try:
                 value = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested too deep
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             yield lineno, value
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import UnknownLabel
 from .labels import FOUR_CLASS
 
 NORMAL = FOUR_CLASS.normal_name
@@ -60,7 +60,7 @@ def confusion(pairs) -> np.ndarray:
     for true, pred in pairs:
         for label in (true, pred):
             if label not in classes:
-                raise InvalidConfig(f"unknown class {label!r}")
+                raise UnknownLabel(f"unknown class {label!r}")
         matrix[index[true], index[pred]] += 1
     return matrix
 

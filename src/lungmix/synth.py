@@ -52,9 +52,13 @@ class SynthSpec:
             raise InvalidConfig("tone_hz must lie within [100, 1000] Hz")
         if self.noise_floor < 0:
             raise InvalidConfig("noise_floor must be non-negative")
-        max_event_s = max(self.burst_ms, self.tone_ms) / 1000.0
-        if self.n_events and max_event_s * self.n_events > self.duration_s:
-            raise InvalidConfig("events do not fit inside the signal duration")
+        longest_ms = max(self.burst_ms, self.tone_ms)
+        if self.n_events * longest_ms > self.duration_s * 1000.0:
+            raise InvalidConfig(
+                f"n_events={self.n_events} events of up to {longest_ms:g} ms need "
+                f"{self.n_events * longest_ms / 1000.0:g} s, more than "
+                f"duration_s={self.duration_s:g}: lower --n-events or raise --duration"
+            )
 
 
 def _noise_floor(n: int, amp: float, rate: int, rng: np.random.Generator) -> np.ndarray:

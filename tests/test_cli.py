@@ -308,6 +308,42 @@ def non_utf8_file(flag, command="augment"):
     return run
 
 
+def file_flag_names(target, flag, command="augment"):
+    """A run whose `flag` names an `"absent"` file or a `"directory"`."""
+
+    def run(corpus, tmp_path):
+        path = tmp_path / "named.json"
+        if target == "directory":
+            path.mkdir()
+        return config_error(flag, str(path), command=command)(corpus, tmp_path)
+
+    return run
+
+
+def absent_input(command, flag, *others):
+    """`command` whose input `flag` names an absent file, and each flag of
+    `others` a WAV of the corpus: gives the exit code."""
+
+    def run(corpus, tmp_path):
+        argv = [command, flag, str(tmp_path / "absent")]
+        for other in others:
+            argv += [other, str(corpus / "synth-both-000.wav")]
+        return main(argv)
+
+    return run
+
+
+def preprocess_at_another_config(corpus, tmp_path):
+    """A second preprocess into one --out at another seed and clip length:
+    gives its exit code and whether the first run's files are unchanged."""
+    out = tmp_path / "o"
+    assert run_command("preprocess", corpus, out, "--seed", "1") == 0
+    before = files(out)
+    wheeze = ["--in", str(corpus / "synth-wheeze-000.wav")]
+    rc = main(["preprocess", *wheeze, "--out", str(out), "--seed", "2", "--clip-seconds", "4"])
+    return rc, files(out) == before
+
+
 def config_file_given(command, *argv):
     """`command` given --config, which it does not read: gives the exit code.
 
@@ -552,6 +588,17 @@ FAULTS = [
     ),
     pytest.param(config_error(config={"augment": {"n_pairs": True}}), (2, False), id="bool-n-pairs"),
     pytest.param(bad_label_maps("{broken"), (2, False), id="label-maps-not-json"),
+    pytest.param(file_flag_names("absent", "--label-maps"), (2, False), id="label-maps-absent"),
+    pytest.param(
+        file_flag_names("directory", "--label-maps"), (2, False), id="label-maps-is-directory"
+    ),
+    pytest.param(file_flag_names("absent", "--config"), (2, False), id="config-absent"),
+    pytest.param(file_flag_names("directory", "--config"), (2, False), id="config-is-directory"),
+    pytest.param(absent_input("eval", "--predictions"), 4, id="eval-absent-predictions"),
+    pytest.param(absent_input("inspect-mask", "--a", "--b"), 4, id="inspect-mask-absent-input"),
+    pytest.param(
+        preprocess_at_another_config, (2, True), id="preprocess-out-holds-another-config"
+    ),
     pytest.param(bad_label_maps('{"icbhi": [1]}'), (2, False), id="label-map-table-not-object"),
     pytest.param(
         config_error(config={"pipeline": {"mel_bins": 0}}, command="preprocess"), (2, False),
@@ -634,6 +681,13 @@ FAULTS = [
     pytest.param(non_utf8_file("--config"), (2, False), id="config-file-not-utf8"),
     pytest.param(non_utf8_file("--label-maps"), (2, False), id="label-maps-not-utf8"),
     pytest.param(eval_second_line(b"\xff\xfe"), (3, True, False), id="eval-predictions-not-utf8"),
+    pytest.param(
+        manifest_line(lambda rec: b"[" * 100_000), (3, True, False),
+        id="manifest-line-nested-too-deep",
+    ),
+    pytest.param(
+        eval_second_line(b"[" * 100_000), (3, True, False), id="eval-predictions-nested-too-deep"
+    ),
     pytest.param(
         manifest_line(lambda rec: {**rec, "events": "abc"}), (3, True, False),
         id="manifest-events-string",
@@ -718,6 +772,16 @@ def test_snapshot_replays_the_run(corpus, tmp_path, command, flags, config):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run_command(command, corpus, first, *flags, config=config) == 0
     assert run_command(command, corpus, again, "--config", str(first / "config_snapshot.json")) == 0
+    assert files(again) == files(first)
+
+
+def test_preprocess_snapshot_replays_every_input(corpus, tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    replay = ("--config", str(first / "config_snapshot.json"))
+    for out, flags in ((first, ("--seed", "3", "--clip-seconds", "4")), (again, replay)):
+        for wav in ("synth-crackle-000.wav", "synth-wheeze-000.wav"):
+            assert main(["preprocess", "--in", str(corpus / wav), "--out", str(out), *flags]) == 0
+    assert len(files(first)) == 5
     assert files(again) == files(first)
 
 

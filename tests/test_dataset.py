@@ -17,6 +17,7 @@ from lungmix.dataset import (
     load_label_maps_data,
     load_manifest,
     pair_records,
+    read_json,
     save_manifest,
 )
 from lungmix.errors import InvalidConfig, LungmixError, MissingAudio, ParseError, UnknownLabel
@@ -75,6 +76,24 @@ class TestAlignLabel:
         for dataset, table in maps.items():
             for raw in table:
                 assert align_label(dataset, raw, maps) in ("normal", "crackle", "wheeze", "both")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda path: None, id="absent"),
+        pytest.param(lambda path: path.mkdir(), id="directory"),
+        pytest.param(lambda path: path.write_bytes(b'{"\xff": 1}'), id="not-utf8"),
+        pytest.param(lambda path: path.write_text("{broken"), id="not-json"),
+        pytest.param(lambda path: path.write_text("[" * 100_000), id="nested-too-deep"),
+        pytest.param(lambda path: path.write_text("[1]"), id="not-an-object"),
+    ],
+)
+def test_read_json_failures_are_config_errors_naming_the_file(tmp_path, make):
+    path = tmp_path / "maps.json"
+    make(path)
+    with pytest.raises(InvalidConfig, match=f"label maps {path}"):
+        read_json(path, "label maps")
 
 
 class TestAlignRecords:
@@ -156,9 +175,10 @@ def is_event(event) -> bool:
 def test_events_load_only_as_start_end_label_triples(tmp_path, events):
     path = tmp_path / "m.jsonl"
     path.write_text(json.dumps({**record(0).to_dict(), "events": events}) + "\n")
+    (tmp_path / "x.wav").write_bytes(b"RIFF")
     valid = events is None or (isinstance(events, list) and all(map(is_event, events)))
     try:
-        [rec] = load_manifest(path, check_audio=False)
+        [rec] = load_manifest(path)
     except ParseError as exc:
         assert not valid and f"{path}:1:" in str(exc)
     else:
@@ -208,11 +228,6 @@ class TestLoadManifest:
         path.write_text(json.dumps(record(0, path="").to_dict()) + "\n")
         with pytest.raises(MissingAudio):
             load_manifest(path)
-
-    def test_check_audio_can_be_disabled(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps(record(0, path="gone.wav").to_dict()) + "\n")
-        assert len(load_manifest(path, check_audio=False)) == 1
 
     def test_foreign_keys_survive_roundtrip(self, tmp_path):
         rec = record(0)

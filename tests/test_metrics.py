@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lungmix.errors import InvalidConfig
+from lungmix.errors import UnknownLabel
 from lungmix.labels import FOUR_CLASS
 from lungmix.metrics import MetricsReport, confusion, round2, score
 
@@ -83,7 +83,8 @@ class TestScore:
         assert score(pairs) == score(shuffled)
 
     def test_unknown_class_raises(self):
-        with pytest.raises(InvalidConfig):
+        # a data error, as `lungmix eval` reports such a row
+        with pytest.raises(UnknownLabel):
             score([("normal", "cough")])
 
 
