@@ -23,9 +23,9 @@ one JSON line on stderr and exits 2 (config), 3 (data) or 4 (I/O, as does an
 `OSError`).
 
 `main` first calls `lungmix.parallel.claim_process`, before the pool starts,
-so OpenBLAS keeps to one thread and every thread allocates from glibc's main
-heap, where each record's multi-MB filter and log-mel buffers stay instead of
-being page-faulted in again for the next record.
+so every thread allocates from glibc's main heap, where each record's
+multi-MB filter and log-mel buffers stay instead of being page-faulted in
+again for the next record.
 """
 
 import argparse

@@ -9,7 +9,9 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 I/O error.
 
 import argparse
 import csv
+import filecmp
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -70,6 +72,26 @@ def _snapshot(command: str, seed: int, **sections) -> bytes:
     return (json.dumps(snapshot, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _publish_beside(out_dir: Path, writers: dict) -> None:
+    """Each `name: write(path)` written to a temporary name in `out_dir`, then
+    moved onto `name` with `os.replace`. A `name` that `out_dir` already holds
+    with other bytes is a config error: the temporaries are removed and no
+    file is replaced."""
+    temps = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in writers}
+    try:
+        for name, write in writers.items():
+            write(temps[name])
+            held = out_dir / name
+            if held.exists() and not filecmp.cmp(temps[name], held, shallow=False):
+                raise InvalidConfig(f"{held} holds another run's output: use another --out")
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    for name, temp in temps.items():
+        os.replace(temp, out_dir / name)
+
+
 def cmd_preprocess(args) -> int:
     seed, sections = _configure(args, pipeline=PipelineConfig)
     out_dir, snapshot = Path(args.out), _snapshot(args.command, seed, **sections)
@@ -80,11 +102,16 @@ def cmd_preprocess(args) -> int:
     processed, spec = preprocess(wave, sections["pipeline"], derive_rng(seed, "preprocess"))
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.infile).stem
-    write_wav(out_dir / f"{stem}_preprocessed.wav", processed)
-    write_spectrogram(out_dir / f"{stem}.spec", spec)
+    # outputs are named by the input's stem alone, so another input of that
+    # name must not replace them
+    writers = {
+        f"{stem}_preprocessed.wav": lambda path: write_wav(path, processed),
+        f"{stem}.spec": lambda path: write_spectrogram(path, spec),
+        SNAPSHOT: lambda path: path.write_bytes(snapshot),
+    }
     if args.csv:
-        write_spectrogram_csv(out_dir / f"{stem}.csv", spec)
-    (out_dir / SNAPSHOT).write_bytes(snapshot)
+        writers[f"{stem}.csv"] = lambda path: write_spectrogram_csv(path, spec)
+    _publish_beside(out_dir, writers)
     print(f"wrote {stem}_preprocessed.wav and {stem}.spec to {out_dir}")
     return 0
 

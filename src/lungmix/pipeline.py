@@ -14,6 +14,7 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, resample_poly, sosfiltfilt
+from scipy.sparse import csr_array
 
 from .errors import EmptyAudio, InvalidConfig, NumericalError, check_fields
 
@@ -198,17 +199,13 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    fb = mel_filterbank(n_mels, n_fft, sample_rate)
-    fb.flags.writeable = False
+def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> csr_array:
+    """`mel_filterbank` as a canonical sparse matrix: a product with it sums
+    each filter's non-zero bins in bin order, whatever the BLAS."""
+    fb = csr_array(mel_filterbank(n_mels, n_fft, sample_rate))
+    fb.data.flags.writeable = False
     return fb
 
-
-# OpenBLAS rounds a `power @ fb.T` of a few rows differently from the same
-# rows inside a larger product (seen at up to 9 rows x 128 mel bins); pieces of
-# at least this many elements matched it with a wide margin. A spectrogram is
-# split into cached and per-pair columns only where both pieces are this big.
-SPLIT_MIN_ELEMENTS = 4096
 
 # frames windowed and transformed together by `_log_mel`
 FFT_BLOCK_ROWS = 64
@@ -240,14 +237,15 @@ def _log_mel(x: np.ndarray, cfg: PipelineConfig, start: int, stop: int) -> np.nd
     # this small are reused from the heap instead of being mapped afresh
     frames = sliding_window_view(x, win)[hop * start : hop * (stop - 1) + 1 : hop]
     window = np.hanning(win)
-    power = np.empty((stop - start, n_fft // 2 + 1))
+    # C order, one column per frame: the sparse product reads it as it is
+    power = np.empty((n_fft // 2 + 1, stop - start))
     for i in range(0, stop - start, FFT_BLOCK_ROWS):
-        rows = slice(i, i + FFT_BLOCK_ROWS)
-        np.abs(np.fft.rfft(frames[rows] * window, n=n_fft, axis=1), out=power[rows])
-    np.square(power, out=power)
-    mel_power = power @ _cached_filterbank(cfg.mel_bins, n_fft, cfg.target_rate).T
+        spectrum = np.fft.rfft(frames[i : i + FFT_BLOCK_ROWS] * window, n=n_fft, axis=1).T
+        block = np.square(spectrum.real, out=power[:, i : i + FFT_BLOCK_ROWS])
+        block += np.square(spectrum.imag)
+    mel_power = _cached_filterbank(cfg.mel_bins, n_fft, cfg.target_rate) @ power
     np.maximum(mel_power, POWER_FLOOR, out=mel_power)
-    return np.log(mel_power, out=mel_power).T
+    return np.log(mel_power, out=mel_power)
 
 
 def mel_spectrogram(
@@ -274,21 +272,12 @@ def mel_spectrogram(
     return Spectrogram(bins)
 
 
-def mel_head(w: Waveform, cfg: PipelineConfig) -> np.ndarray | None:
+def mel_head(w: Waveform, cfg: PipelineConfig) -> np.ndarray:
     """The log-mel columns of `w` that padding it to the clip length cannot
-    change, for `mel_spectrogram`'s `head`.
-
-    These are the frames wholly inside `w`, less any that would leave fewer
-    than the floor (SPLIT_MIN_ELEMENTS / mel_bins frames) to compute after
-    them. None when the head itself would be shorter than the floor.
-    """
-    floor = -(-SPLIT_MIN_ELEMENTS // cfg.mel_bins)
-    clip = int(round(cfg.clip_seconds * cfg.target_rate))
-    split = min(_frame_count(len(w), cfg), _frame_count(clip, cfg) - floor)
-    if split < floor:
-        return None
-    # C order: every pair that stitches the head copies it row by row
-    return np.ascontiguousarray(_log_mel(w.samples, cfg, 0, split))
+    change, for `mel_spectrogram`'s `head`: those of the frames wholly inside
+    `w`, none when `w` is shorter than one window. Each column depends on its
+    own frame alone, so a stitch has the bytes of the whole spectrogram."""
+    return _log_mel(w.samples, cfg, 0, _frame_count(len(w), cfg))
 
 
 def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogram:

@@ -344,6 +344,22 @@ def preprocess_at_another_config(corpus, tmp_path):
     return rc, files(out) == before
 
 
+def preprocess_same_stem(corpus, tmp_path):
+    """A preprocess into one --out, at the same seed and config, of another
+    input with the first's file name, after an identical rerun has succeeded:
+    gives its exit code and whether the first run's files are unchanged, with
+    nothing left beside them."""
+    out = tmp_path / "o"
+    for _ in range(2):
+        assert run_command("preprocess", corpus, out, "--csv") == 0
+    before = files(out)
+    other = tmp_path / "b" / "synth-both-000.wav"
+    other.parent.mkdir()
+    other.write_bytes((corpus / "synth-wheeze-000.wav").read_bytes())
+    rc = main(["preprocess", "--in", str(other), "--out", str(out), "--csv"])
+    return rc, files(out) == before
+
+
 def config_file_given(command, *argv):
     """`command` given --config, which it does not read: gives the exit code.
 
@@ -599,6 +615,7 @@ FAULTS = [
     pytest.param(
         preprocess_at_another_config, (2, True), id="preprocess-out-holds-another-config"
     ),
+    pytest.param(preprocess_same_stem, (2, True), id="preprocess-out-holds-same-named-input"),
     pytest.param(bad_label_maps('{"icbhi": [1]}'), (2, False), id="label-map-table-not-object"),
     pytest.param(
         config_error(config={"pipeline": {"mel_bins": 0}}, command="preprocess"), (2, False),

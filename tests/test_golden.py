@@ -55,9 +55,9 @@ LUNGMIX_NO_ROLL_MAX = "8d28cb7b7b46e48072168cffb62d977b01fe6e881476f58bab92f5530
 INSPECT_MASK_CSV = "ce6017c32bd6305ff5f54f2630701b95ee8bd1a09c2e50e583f504d730ec8a1b"
 PREPROCESS_SPEC = "f382b1b0adc883c202bec153ffe51989ba3b89828617890d8dc959938db76f67"
 
-# 16 kHz record lengths against the 9 s clip: cut; padded with 300 noise-touched
-# mel frames; padded with fewer noise-touched frames than the split floor;
-# padded with fewer noise-free frames than the floor
+# 16 kHz record lengths against the 9 s clip: cut; padded, with 598 cached mel
+# columns and 300 that each pair computes; padded with 893 cached and 5 per
+# pair; padded with 3 cached and 895 per pair
 PATCHMIX_SECONDS = (9.5, 6.0, 8.95, 0.05)
 PATCHMIX_PADDING = "9edd8ef988c7b773513a5b767c3b8170b02ecf62a75c9504b46e5a0e18723f04"
 # strategy -> digest over a corpus synthesized at 44.1 kHz (4 s) and 8 kHz (9.5 s)
@@ -70,9 +70,9 @@ PREPROCESS_44K_SPEC = "03dfdf82fd6e36b0fc06b62be85382f1903a1aa003d2c9a29ba560875
 # log-mel normalised, its first 6 s padded and stitched onto its cached head,
 # and the lungmix blend of one rolled pair (4 s and 3 s records)
 FLOAT64 = {
-    "mel_spectrogram": "53ba737d7365e7f8578b5402ff54ddfab6a96dab7c210c7b30a87da8e338371c",
-    "normalize_spectrogram": "81a83a626d5718b95aa4264ea311352f521761c3528aef125ed8cf5150fa8184",
-    "stitched_padded_mel": "5afc154681272dbaca3653e5d7d188c1337a480ec9e32ac9637047f29bcf75eb",
+    "mel_spectrogram": "6f48eb2e72b1da5ae363cddb511690b4c8bf5db6b195d0c3a3722b085118eaee",
+    "normalize_spectrogram": "3c56ee6baa77b84b55056d8534c46ffa19f2d08974b67dca06d3b80f89b4368e",
+    "stitched_padded_mel": "68dd788e86b3490ad2e52ee7349824bdb9356c5e572d199aad26f9b7007f1b29",
     "rolled_lungmix_mix": "2f0a827ee35f425c689a4e677e78675189058f3ec0ed5b1076ccce84178bdfd4",
 }
 

@@ -1,8 +1,10 @@
-"""`claim_process`: OpenBLAS is set to one thread and glibc to one arena and
-its thresholds once, only by the entry points, no kernel's bytes depend on the
-thread count, and records then reuse the one heap."""
+"""`claim_process`: glibc is set to one arena and its thresholds once, only
+by the entry points, and records then reuse the one heap; and no kernel's
+bytes depend on the BLAS."""
 
 import ctypes
+import inspect
+import os
 import platform
 import subprocess
 import sys
@@ -13,55 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lungmix import cli, parallel, pipeline
-from lungmix.pipeline import PipelineConfig, Waveform, featurize, mel_head, mel_spectrogram
+from lungmix import parallel
 from lungmix.synth import CorpusPlan, make_corpus
-
-BLAS = parallel._openblas()
-needs_openblas = pytest.mark.skipif(BLAS is None, reason="numpy does not bundle OpenBLAS")
-
-
-def blas_threads() -> int:
-    return BLAS[0]()
-
-
-@pytest.fixture
-def three_blas_threads():
-    """OpenBLAS at 3 threads, a count neither 1 nor a common default."""
-    before = blas_threads()
-    BLAS[1](3)
-    yield
-    BLAS[1](before)
-
-
-def kernel_bytes(mel_bins: int) -> list[bytes]:
-    """float64 bytes of `mel_spectrogram`, of `mel_head` stitches where the head
-    and where the tail is at the SPLIT_MIN_ELEMENTS floor, and of `featurize`."""
-    cfg = PipelineConfig(mel_bins=mel_bins)
-    clip = Waveform(np.random.default_rng(mel_bins).standard_normal(144000) * 0.1, 16000)
-    n = (len(clip) - 400) // 160 + 1
-    floor = -(-pipeline.SPLIT_MIN_ELEMENTS // mel_bins)
-    out = [mel_spectrogram(clip, cfg).bins.tobytes()]
-    for k in (floor, n - floor):
-        record = Waveform(clip.samples[: 160 * (k - 1) + 400], 16000)
-        head = mel_head(record, cfg)
-        padded, spec = featurize(record, cfg, np.random.default_rng(k), head)
-        whole = featurize(record, cfg, np.random.default_rng(k))[1]
-        out += [mel_spectrogram(padded, cfg, head).bins.tobytes(), spec.bins.tobytes(),
-                whole.bins.tobytes()]
-    return out
-
-
-@needs_openblas
-@pytest.mark.parametrize("mel_bins", [128, 64, 32])
-def test_kernel_bytes_same_inside_and_outside_a_pool(three_blas_threads, mel_bins):
-    """At 3 OpenBLAS threads and at 1, on the caller and on a pool's worker."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        on_caller = kernel_bytes(mel_bins)
-        assert pool.submit(kernel_bytes, mel_bins).result() == on_caller
-        BLAS[1](1)
-        assert kernel_bytes(mel_bins) == on_caller
-        assert pool.submit(kernel_bytes, mel_bins).result() == on_caller
 
 
 class StandInLibc:
@@ -78,29 +33,18 @@ class StandInLibc:
         self.mallopt = mallopt
 
 
-class StandInBlas:
-    """`_openblas()`'s (get, set) pair, recording each count set; only the
-    setter is called."""
-
-    def __init__(self):
-        self.counts = []
-        self.handles = None, self.counts.append
-
-
 @pytest.fixture
 def libc(monkeypatch):
-    """Put `lib` in place of libc, and `blas` in place of OpenBLAS, for
-    `claim_process`. Its cache is cleared before and after, so no call through
-    a stand-in is remembered as applied."""
+    """Put `lib` in place of libc for `claim_process`. Its cache is cleared
+    before and after, so no call through a stand-in is remembered as applied."""
 
-    def install(lib, blas=None):
+    def install(lib):
         def cdll(name):
             if isinstance(lib, Exception):
                 raise lib
             return lib
 
         monkeypatch.setattr(parallel.ctypes, "CDLL", cdll)
-        monkeypatch.setattr(parallel, "_openblas", lambda: blas and blas.handles)
         return lib
 
     parallel.claim_process.cache_clear()
@@ -120,26 +64,10 @@ def test_claim_process_sets_both_thresholds_once(libc):
     assert lib.calls == [ARENA_CALL, *THRESHOLD_CALLS]
 
 
-def test_claim_process_sets_one_blas_thread_once(libc):
-    blas = StandInBlas()
-    libc(StandInLibc(), blas)
-    for _ in range(3):
-        parallel.claim_process()
-    assert blas.counts == [1]
-
-
 @pytest.mark.parametrize("lib", [OSError("no libc"), object()], ids=["cdll-raises", "no-mallopt"])
 def test_claim_process_is_a_no_op_without_mallopt(libc, lib):
-    blas = StandInBlas()
-    libc(lib, blas)
+    libc(lib)
     assert parallel.claim_process() is None
-    assert blas.counts == [1]
-
-
-def test_claim_process_without_openblas_still_holds_the_heap(libc):
-    lib = libc(StandInLibc(), None)
-    parallel.claim_process()
-    assert lib.calls == [ARENA_CALL, *THRESHOLD_CALLS]
 
 
 def test_claim_process_leaves_trimming_alone_when_mallopt_fails(libc):
@@ -154,30 +82,104 @@ def test_claim_process_sets_the_thresholds_when_only_the_arena_cap_fails(libc):
     assert lib.calls == [ARENA_CALL, *THRESHOLD_CALLS]
 
 
-@needs_openblas
-def test_cli_leaves_openblas_on_one_thread(three_blas_threads, tmp_path):
-    manifest = make_corpus(tmp_path / "corpus", CorpusPlan(per_class=1, duration_s=3.0), 2)
-    parallel.claim_process.cache_clear()
-    assert cli.main(["augment", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
-                     "--pairs", "2", "--workers", "2"]) == 0
-    assert blas_threads() == 1
-
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """`code`, run to success in a fresh interpreter with lungmix on its path."""
+def run_python(code: str, **env) -> subprocess.CompletedProcess:
+    """`code`, run to success in a fresh interpreter with lungmix on its path
+    and `env` added to the environment."""
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n" + textwrap.dedent(code)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, **env},
     )
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
+def kernel_digests(bins: tuple[int, ...] = (128, 64, 32)) -> list[str]:
+    """sha256 of the float64 log-mel of an unfiltered seeded 9 s waveform, of
+    `mel_head` stitches onto it padded at several splits, and of `featurize`
+    output there, at each of `bins` mel bins. Self-contained, so a fresh
+    interpreter can run its source."""
+    import hashlib
+
+    import numpy as np
+
+    from lungmix.pipeline import PipelineConfig, Waveform, featurize, mel_head, mel_spectrogram
+
+    digests = []
+    for mel_bins in bins:
+        cfg = PipelineConfig(mel_bins=mel_bins)
+        clip = Waveform(np.random.default_rng(mel_bins).standard_normal(144000) * 0.1, 16000)
+        stitched, featurized = hashlib.sha256(), hashlib.sha256()
+        for k in (1, 9, 18, 37, 449, 861, 880, 889, 897):
+            record = Waveform(clip.samples[: 160 * (k - 1) + 400], 16000)
+            padded, spec = featurize(record, cfg, np.random.default_rng(k))
+            stitched.update(mel_spectrogram(padded, cfg, mel_head(record, cfg)).bins.tobytes())
+            featurized.update(spec.bins.tobytes())
+        whole = hashlib.sha256(mel_spectrogram(clip, cfg).bins.tobytes())
+        digests += [whole.hexdigest(), stitched.hexdigest(), featurized.hexdigest()]
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests_here():
+    return kernel_digests()
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64's"
+)
+@pytest.mark.parametrize(
+    "env",
+    [{}, {"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_CORETYPE": "Haswell"},
+     {"OPENBLAS_CORETYPE": "Sandybridge"}],
+    ids=["default", "3-threads", "haswell", "sandybridge"],
+)
+def test_mel_bytes_do_not_depend_on_the_blas(digests_here, env):
+    """A fresh process under OpenBLAS's default kernels, at 3 threads, or
+    with another core type's kernels forced gives this process's digests."""
+    code = inspect.getsource(kernel_digests) + "\nprint(*kernel_digests())"
+    assert run_python(code, **env).stdout.split() == digests_here
+
+
+def openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS in numpy's wheel, or
+    None when numpy links another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it: this is the same copy
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.restype, set_.argtypes, set_.restype = ctypes.c_int, (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+BLAS = openblas_threads()
+
+
+@pytest.fixture
+def three_blas_threads():
+    """OpenBLAS at 3 threads, a count neither 1 nor a common default."""
+    before = BLAS[0]()
+    BLAS[1](3)
+    yield
+    BLAS[1](before)
+
+
+@pytest.mark.skipif(BLAS is None, reason="numpy does not bundle OpenBLAS")
+@pytest.mark.parametrize("mel_bins", [128, 64, 32])
+def test_kernel_bytes_same_inside_and_outside_a_pool(three_blas_threads, mel_bins):
+    """At 3 OpenBLAS threads and at 1, on the caller and on a pool's worker."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        on_caller = kernel_digests((mel_bins,))
+        assert pool.submit(kernel_digests, (mel_bins,)).result() == on_caller
+        BLAS[1](1)
+        assert kernel_digests((mel_bins,)) == on_caller
+        assert pool.submit(kernel_digests, (mel_bins,)).result() == on_caller
+
+
 def test_importing_lungmix_leaves_the_allocator_alone():
-    """Nor OpenBLAS's thread count: neither setter is looked up."""
     out = run_python("""
         import ctypes
 
@@ -192,10 +194,9 @@ def test_importing_lungmix_leaves_the_allocator_alone():
         import lungmix, lungmix.cli
         from lungmix import parallel
 
-        print("mallopt" in looked_up, parallel.claim_process.cache_info().currsize,
-              parallel._openblas.cache_info().currsize)
+        print("mallopt" in looked_up, parallel.claim_process.cache_info().currsize)
     """).stdout
-    assert out.split() == ["False", "0", "0"]
+    assert out.split() == ["False", "0"]
 
 
 def has_glibc_mallopt() -> bool:

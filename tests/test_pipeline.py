@@ -249,6 +249,26 @@ class TestMelSpectrogram:
         assert np.array_equal(mel_spectrogram(w, cfg).bins, first.bins)
         assert len(built) == 1
 
+    @pytest.mark.parametrize("mel_bins", [128, 64, 32])
+    def test_log_mel_sums_each_filter_in_bin_order(self, rng, mel_bins):
+        """`_log_mel` equals a plain loop that adds `fb[m, k] * power[k]` over
+        each filter's non-zero bins in bin order: no BLAS kernel picks the
+        rounding."""
+        cfg = PipelineConfig(mel_bins=mel_bins)
+        x = rng.standard_normal(16000) * 0.1
+        win, hop, n_fft = 400, 160, 512
+        n = (len(x) - win) // hop + 1
+        frames = np.stack([x[f * hop : f * hop + win] for f in range(n)])
+        spectrum = np.fft.rfft(frames * np.hanning(win), n=n_fft, axis=1)
+        power = spectrum.real**2 + spectrum.imag**2
+        fb = pipeline.mel_filterbank(mel_bins, n_fft, 16000)
+        mel = np.zeros((mel_bins, n))
+        for m in range(mel_bins):
+            for k in np.flatnonzero(fb[m]):
+                mel[m] += fb[m, k] * power[:, k]
+        expected = np.log(np.maximum(mel, pipeline.POWER_FLOOR))
+        assert np.array_equal(pipeline._log_mel(x, cfg, 0, n), expected)
+
 
 class TestMelHead:
     """`mel_head` columns stitched to the frames after them, as `featurize`
@@ -261,24 +281,17 @@ class TestMelHead:
         clip = Waveform(rng.standard_normal(48000) * 0.1, 16000)
         whole = mel_spectrogram(clip, cfg).bins
         n = (len(clip) - win) // hop + 1
-        floor = -(-pipeline.SPLIT_MIN_ELEMENTS // mel_bins)
-        taken = set()
-        # every split with either piece 1-64 frames, and both at the floor: a
-        # record of k frames, padded by the rest of `clip`
-        for k in [*range(1, 65), *range(n - 64, n), floor, n - floor]:
-            record = Waveform(clip.samples[: hop * (k - 1) + win], 16000)
+        # a record of k frames, padded by the rest of `clip`, at every k
+        for k in range(n + 1):
+            record = Waveform(clip.samples[: max(hop * (k - 1) + win, win - 1)], 16000)
             head = mel_head(record, cfg)
-            if k < floor:
-                assert head is None
-                continue
-            assert head.shape[1] == min(k, n - floor)
-            taken.add(head.shape[1])
+            assert head.shape == (mel_bins, k)
             assert np.array_equal(mel_spectrogram(clip, cfg, head).bins, whole)
-        assert min(taken) == floor and max(taken) == n - floor
 
     def test_no_head_when_the_clip_has_too_few_frames(self, rng):
-        cfg = PipelineConfig(clip_seconds=0.5)  # 48 frames, floor 32 each side
-        assert mel_head(Waveform(rng.standard_normal(6000) * 0.1, 16000), cfg) is None
+        """A record shorter than one window has a head of no columns."""
+        head = mel_head(Waveform(rng.standard_normal(399) * 0.1, 16000), PipelineConfig())
+        assert head.shape == (128, 0)
 
     def test_head_keeps_no_whole_spectrogram_alive(self, rng):
         """A prepared source holds its head for a run: its memory is the
