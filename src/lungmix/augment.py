@@ -11,15 +11,15 @@ submits every job in pair order: a source's preparation before the first pair
 that uses it, then the pair's job with the futures of its two preparations.
 It forgets a preparation once its last pair is submitted, so the source is
 freed when that pair has been mixed. Only the seeded per-pair work runs per
-pair: for lungmix, the roll, which rolls the stored mask with its waveform;
-for a padded patchmix source, the noise and the mel frames it overlaps.
+pair: for lungmix, the kernel's roll of a waveform and its stored mask; for a
+padded patchmix source, the noise and the mel frames it overlaps.
 Results stream to the exporter in pair order, so memory does not grow with the
 pair count.
 """
 
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .dataset import PAIRINGS, RecordManifest, export_augmented, pair_records, r
 from .errors import InvalidConfig, check_fields
 from .labels import FOUR_CLASS, MODES, LabelVector
 from .masks import MixParams, loudness_mask
-from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix, shift_roll_pair
+from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix
 from .pipeline import (
     PipelineConfig,
     Spectrogram,
@@ -112,7 +112,7 @@ def _in_order(futures, ahead: int):
 class _Source:
     """A prepared record, shared read-only by every pair that uses it.
     `audio` is what a pair mixes (see `_prepare`), `loud` is lungmix's
-    `loudness_mask`, which a pair rolls with the waveform, and `head` is
+    `loudness_mask`, which the kernel rolls with the waveform, and `head` is
     patchmix's `mel_head` columns, which padding noise cannot touch."""
 
     audio: Waveform | Spectrogram
@@ -152,7 +152,7 @@ def _mix_one(
     rec_a, rec_b = pair
     audio_a, audio_b = (s.audio for s in sources)
 
-    rolled = offset = loudness = None
+    lungmix = plan.strategy == "lungmix"
     if plan.strategy == "patchmix":
         # a stored spectrogram needed no padding; otherwise pad with this pair's noise
         audio_a, audio_b = (
@@ -160,16 +160,6 @@ def _mix_one(
             if isinstance(s.audio, Waveform) else s.audio
             for s, side in zip(sources, "ab")
         )
-    elif plan.strategy == "lungmix":
-        loudness = [s.loud for s in sources]
-        if plan.apply_roll:
-            # rolling diversifies the lungmix pair; the plain baselines stay unrolled
-            audio_a, audio_b, rolled, offset = shift_roll_pair(
-                audio_a, audio_b, derive_rng(seed, "roll")
-            )
-            side = "ab".index(rolled)
-            loudness[side] = np.roll(loudness[side], offset)
-        loudness = tuple(loudness)
     req = MixRequest(
         audio_a=audio_a,
         label_a=_label_of(rec_a),
@@ -180,14 +170,11 @@ def _mix_one(
         interpolation=plan.interpolation,
         id_a=rec_a.record_id,
         id_b=rec_b.record_id,
-        loudness=loudness,
+        loudness=tuple(s.loud for s in sources) if lungmix else None,
+        # rolling diversifies the lungmix pair; the plain baselines stay unrolled
+        roll=lungmix and plan.apply_roll,
     )
-    result = mix(req)
-    if rolled is not None:
-        result = replace(
-            result, provenance=replace(result.provenance, rolled=rolled, roll_offset=offset)
-        )
-    return result
+    return mix(req)
 
 
 def augment_corpus(

@@ -15,12 +15,14 @@ import numpy as np
 
 from .errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch
 from .labels import LabelVector, SoftTriple, interpolate_label
-from .masks import MixMask, MixParams, combine_masks, loudness_mask, random_mask, sample_lambda
-from .pipeline import Spectrogram, Waveform, pad_to_length
+from .masks import MixMask, MixParams, loudness_mask, sample_lambda
+from .pipeline import PAD_EPS, Spectrogram, Waveform
 from .rng import derive_rng
 
 STRATEGIES = ("lungmix", "mixup", "cutmix", "patchmix")
 PATCH_SIZE = 16  # side of the square spectrogram patches patchmix swaps
+# samples per block of the lungmix masks and blend, however long the pair
+MIX_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +31,8 @@ class MixRequest:
 
     patchmix mixes spectrograms; every other strategy mixes waveforms.
     `loudness`, lungmix only, holds `loudness_mask` of each source when the
-    caller already has them; otherwise the kernel computes them.
+    caller already has them; otherwise the kernel computes them. `roll`,
+    lungmix only, rolls one source, drawn from the "roll" stream of the seed.
     """
 
     audio_a: Waveform | Spectrogram
@@ -42,6 +45,7 @@ class MixRequest:
     id_a: str = ""
     id_b: str = ""
     loudness: tuple[np.ndarray, np.ndarray] | None = None
+    roll: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -58,9 +62,9 @@ class MixRequest:
                 f"sources differ in rate: {self.audio_a.sample_rate} vs "
                 f"{self.audio_b.sample_rate} Hz"
             )
+        if self.strategy != "lungmix" and (self.loudness is not None or self.roll):
+            raise InvalidConfig(f"strategy {self.strategy!r} takes no loudness masks or roll")
         if self.loudness is not None:
-            if self.strategy != "lungmix":
-                raise InvalidConfig(f"strategy {self.strategy!r} takes no loudness masks")
             if [m.shape for m in self.loudness] != [(len(self.audio_a),), (len(self.audio_b),)]:
                 raise ShapeMismatch("loudness masks must match their sources' lengths")
 
@@ -103,6 +107,15 @@ class LungmixTrace:
     mixed: Waveform
 
 
+def _draw_roll(a: Waveform, b: Waveform, rng: np.random.Generator) -> tuple[str, int]:
+    """Which of the two waveforms to roll, by a seeded coin flip, and by a
+    uniform offset in [0, len)."""
+    if len(a) == 0 or len(b) == 0:
+        raise EmptyAudio("cannot roll empty waveform")
+    target = "b" if rng.integers(0, 2) == 0 else "a"
+    return target, int(rng.integers(0, len(b) if target == "b" else len(a)))
+
+
 def shift_roll_pair(
     a: Waveform, b: Waveform, rng: np.random.Generator
 ) -> tuple[Waveform, Waveform, str, int]:
@@ -111,15 +124,10 @@ def shift_roll_pair(
     The roll is circular, by a uniform offset in [0, len). Returns the pair
     plus which side was rolled and by how much.
     """
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyAudio("cannot roll empty waveform")
-    target = "b" if rng.integers(0, 2) == 0 else "a"
+    target, offset = _draw_roll(a, b, rng)
     w = b if target == "b" else a
-    offset = int(rng.integers(0, len(w)))
     rolled = Waveform(np.roll(w.samples, offset), w.sample_rate)
-    if target == "b":
-        return a, rolled, target, offset
-    return rolled, b, target, offset
+    return (a, rolled, target, offset) if target == "b" else (rolled, b, target, offset)
 
 
 def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
@@ -143,40 +151,65 @@ def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
     return Waveform(out, a.sample_rate)
 
 
+def _placed(x: np.ndarray, offset: int, n: int, tail) -> np.ndarray:
+    """`np.roll(x, offset)` followed by `tail` up to length `n`, written once;
+    `x` itself when that changes nothing."""
+    if offset == 0 and x.size == n:
+        return x
+    out = np.empty(n, x.dtype)
+    out[offset : x.size] = x[: x.size - offset]
+    out[:offset] = x[x.size - offset :]
+    out[x.size :] = tail
+    return out
+
+
 def _pad_pair(
-    a: Waveform, b: Waveform, rng: np.random.Generator
-) -> tuple[Waveform, Waveform]:
-    """Noise-pad the shorter waveform to the longer one's length (a draws first)."""
+    a: Waveform, b: Waveform, rng: np.random.Generator, offsets: tuple[int, int] = (0, 0)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of both sources rolled by `offsets`, the shorter one padded
+    to the longer one's length with `pad_to_length`'s noise (a draws first)."""
     n = max(len(a), len(b))
-    return (
-        pad_to_length(a, n, rng),
-        pad_to_length(b, n, rng),
-    )
+    tails = [rng.uniform(-PAD_EPS, PAD_EPS, n - len(w)) if len(w) < n else 0 for w in (a, b)]
+    return tuple(_placed(w.samples, k, n, tail) for w, k, tail in zip((a, b), offsets, tails))
 
 
-def _lungmix_masks(
-    a: Waveform,
-    b: Waveform,
-    lam: float,
-    rng: np.random.Generator,
-    params: MixParams,
-    loudness: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LungmixTrace:
-    """The lungmix kernel with every intermediate mask kept.
+def _lungmix_pass(
+    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams,
+    loudness: tuple[np.ndarray, np.ndarray] | None, roll: tuple[str, int] | None, block: int,
+) -> tuple[np.ndarray, ...]:
+    """The lungmix kernel in one pass: the placed sources, their loudness
+    masks, the Bernoulli mask, the mix mask and the blend, as arrays.
 
-    Loudness statistics are taken on the unpadded sources, and padded
-    positions never count as loud. `loudness` supplies the sources'
-    `loudness_mask`s; they are computed here only when it is None.
+    `roll` (side, offset) rolls a source with its loudness mask, computed on
+    the unpadded source unless `loudness` holds both; padding is never loud.
+    Each placed source is written once. Per sample the masks and blend do
+    `combine_masks`'s and `apply_mix_mask`'s operations, `block` samples at a
+    time into the output; only a `block` covering the pair keeps them whole.
     """
-    loud_a, loud_b = (loudness_mask(a), loudness_mask(b)) if loudness is None else loudness
-    a, b = _pad_pair(a, b, rng)
-    n = len(a)
-    mask_a = np.concatenate([loud_a, np.zeros(n - loud_a.size, dtype=bool)])
-    mask_b = np.concatenate([loud_b, np.zeros(n - loud_b.size, dtype=bool)])
-    rand = random_mask(n, params.random_density, rng)
-    mask = combine_masks(mask_a, mask_b, rand, lam, params.semantics)
-    mixed = apply_mix_mask(a, b, mask)
-    return LungmixTrace(a, b, mask_a, mask_b, rand, mask, lam, mixed)
+    loudness = (loudness_mask(a), loudness_mask(b)) if loudness is None else loudness
+    n = max(len(a), len(b))
+    offsets = tuple(roll[1] if roll and roll[0] == side else 0 for side in "ab")
+    x_a, x_b = _pad_pair(a, b, rng, offsets)
+    mask_a, mask_b = (_placed(m, k, n, False) for m, k in zip(loudness, offsets))
+    union = mask_a | mask_b
+    cut = 1.0 - params.random_density
+    rand = np.empty(min(block, n), dtype=bool)
+    values, rest = np.empty(rand.size), np.empty(rand.size)
+    out = np.empty(n)
+    for start in range(0, n, block):
+        here = slice(start, start + block)
+        r, m, u = rand[: n - start], values[: n - start], rest[: n - start]
+        np.greater(rng.random(out=u), cut, out=r)
+        if params.semantics == "max":
+            np.maximum(np.multiply(union[here], lam, out=m), r, out=m)
+        else:
+            np.copyto(m, r)
+            np.copyto(m, lam, where=union[here])
+        np.multiply(m, x_a[here], out=out[here])
+        np.subtract(1.0, m, out=u)
+        u *= x_b[here]
+        out[here] += u
+    return x_a, x_b, mask_a, mask_b, rand, values, out
 
 
 def lungmix_kernel(
@@ -186,18 +219,20 @@ def lungmix_kernel(
     rng: np.random.Generator,
     params: MixParams,
     loudness: tuple[np.ndarray, np.ndarray] | None = None,
+    roll: tuple[str, int] | None = None,
 ) -> tuple[Waveform, float]:
     """Mask-based blend: loud events of either source blend, the rest is split
     between the sources by a Bernoulli mask."""
-    return _lungmix_masks(a, b, lam, rng, params, loudness).mixed, lam
+    out = _lungmix_pass(a, b, lam, rng, params, loudness, roll, MIX_BLOCK)[-1]
+    return Waveform(out, a.sample_rate), lam
 
 
 def mixup_kernel(
     a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
 ) -> tuple[Waveform, float]:
     """Convex combination lam * a + (1 - lam) * b."""
-    a, b = _pad_pair(a, b, rng)
-    return Waveform(lam * a.samples + (1.0 - lam) * b.samples, a.sample_rate), lam
+    x_a, x_b = _pad_pair(a, b, rng)
+    return Waveform(lam * x_a + (1.0 - lam) * x_b, a.sample_rate), lam
 
 
 def cutmix_kernel(
@@ -208,12 +243,12 @@ def cutmix_kernel(
     The cut spans round((1 - lam) * len) samples at a seeded offset; the
     effective coefficient is the exact surviving fraction of a.
     """
-    a, b = _pad_pair(a, b, rng)
-    n = len(a)
+    x_a, x_b = _pad_pair(a, b, rng)
+    n = len(x_a)
     seg = int(round((1.0 - lam) * n))
     offset = int(rng.integers(0, n - seg + 1))
-    out = a.samples.copy()
-    out[offset : offset + seg] = b.samples[offset : offset + seg]
+    out = x_a.copy()
+    out[offset : offset + seg] = x_b[offset : offset + seg]
     return Waveform(out, a.sample_rate), 1.0 - seg / n
 
 
@@ -251,17 +286,19 @@ def patchmix(
     return Spectrogram(out), 1.0 - n_replace / n_patches
 
 
-def _draw_lambda(req: MixRequest) -> tuple[np.random.Generator, float]:
-    """The request's random stream, with lambda already drawn from it.
+def _draws(req: MixRequest) -> tuple[np.random.Generator, float, tuple[str, int] | None]:
+    """The request's random stream, with lambda already drawn from it, and
+    the (side, offset) of its roll, if any, from its own "roll" stream.
 
     Stream order per request seed: lambda, padding noise (a then b), then the
     kernel's own draws. Changing this order changes outputs, so it is part of
     the contract.
     """
     rng = derive_rng(req.params.seed)
-    if req.params.lam is not None:
-        return rng, req.params.lam
-    return rng, sample_lambda(req.params.alpha, rng)
+    lam = sample_lambda(req.params.alpha, rng) if req.params.lam is None else req.params.lam
+    if not req.roll:
+        return rng, lam, None
+    return rng, lam, _draw_roll(req.audio_a, req.audio_b, derive_rng(req.params.seed, "roll"))
 
 
 def mix(req: MixRequest) -> MixResult:
@@ -278,8 +315,9 @@ def mix(req: MixRequest) -> MixResult:
         "cutmix": cutmix_kernel,
         "patchmix": patchmix,
     }[req.strategy]
-    rng, lam = _draw_lambda(req)
-    known = {} if req.loudness is None else {"loudness": req.loudness}
+    rng, lam, roll = _draws(req)
+    rolled, roll_offset = roll or (None, None)
+    known = {"loudness": req.loudness, "roll": roll} if req.strategy == "lungmix" else {}
     audio, lam_eff = kernel(req.audio_a, req.audio_b, lam, rng, req.params, **known)
     interp = interpolate_label(req.label_a, req.label_b, lam_eff, req.interpolation)
     label = interp.hard
@@ -294,6 +332,8 @@ def mix(req: MixRequest) -> MixResult:
         lam=lam,
         seed=req.params.seed,
         semantics=req.params.semantics if req.strategy == "lungmix" else None,
+        rolled=rolled,
+        roll_offset=roll_offset,
     )
     return MixResult(audio, label, interp.soft, prov)
 
@@ -307,5 +347,9 @@ def lungmix_trace(req: MixRequest) -> LungmixTrace:
     """Run the lungmix kernel on a request and keep every intermediate mask."""
     if req.strategy != "lungmix":
         raise InvalidConfig(f"expected strategy 'lungmix', got {req.strategy!r}")
-    rng, lam = _draw_lambda(req)
-    return _lungmix_masks(req.audio_a, req.audio_b, lam, rng, req.params, req.loudness)
+    a, b = req.audio_a, req.audio_b
+    rng, lam, roll = _draws(req)
+    n = max(len(a), len(b), 1)  # one block covering the pair keeps every mask whole
+    x_a, x_b, *masks, values, out = _lungmix_pass(a, b, lam, rng, req.params, req.loudness, roll, n)
+    x_a, x_b, out = (Waveform(x, a.sample_rate) for x in (x_a, x_b, out))
+    return LungmixTrace(x_a, x_b, *masks, MixMask(values, lam), lam, out)

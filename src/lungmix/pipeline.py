@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import butter, resample_poly, sosfiltfilt
+from scipy.signal import butter, firwin, resample_poly, sosfiltfilt
 from scipy.sparse import csr_array
 
 from .errors import EmptyAudio, InvalidConfig, NumericalError, check_fields
@@ -111,6 +111,15 @@ class PipelineConfig:
                 raise InvalidConfig(f"{name} must span at least one sample at {self.target_rate} Hz")
 
 
+@lru_cache(maxsize=None)
+def _resample_filter(up: int, down: int) -> np.ndarray:
+    """`resample_poly`'s default filter for `up`/`down`, built once; it scales a copy."""
+    rate = max(up, down)
+    h = firwin(20 * rate + 1, 1.0 / rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
+
+
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Polyphase windowed-sinc resampling to `target_rate`.
 
@@ -124,7 +133,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return w
     g = gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
-    out = resample_poly(w.samples, up, down)
+    out = resample_poly(w.samples, up, down, window=_resample_filter(up, down))
     return Waveform(out, target_rate)
 
 

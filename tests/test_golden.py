@@ -67,13 +67,18 @@ MIXED_RATE = {
 }
 PREPROCESS_44K_SPEC = "03dfdf82fd6e36b0fc06b62be85382f1903a1aa003d2c9a29ba56087532443d3"
 # sha256 of float64 `.tobytes()` on a 9 s 16 kHz synth record: its log-mel, that
-# log-mel normalised, its first 6 s padded and stitched onto its cached head,
-# and the lungmix blend of one rolled pair (4 s and 3 s records)
+# log-mel normalised, its first 6 s padded and stitched onto its cached head;
+# and on lungmix blends of rolled pairs of a 4 s and a 3 s record: the default
+# plan, `max` semantics with the shorter side padded and rolled, and the longer
+# side rolled with lam pinned at 0 and at 1, where the mask only copies samples
 FLOAT64 = {
     "mel_spectrogram": "6f48eb2e72b1da5ae363cddb511690b4c8bf5db6b195d0c3a3722b085118eaee",
     "normalize_spectrogram": "3c56ee6baa77b84b55056d8534c46ffa19f2d08974b67dca06d3b80f89b4368e",
     "stitched_padded_mel": "68dd788e86b3490ad2e52ee7349824bdb9356c5e572d199aad26f9b7007f1b29",
     "rolled_lungmix_mix": "2f0a827ee35f425c689a4e677e78675189058f3ec0ed5b1076ccce84178bdfd4",
+    "max_shorter_rolled_mix": "cba8b9f9882eea75accacb2eeda92f509d8392d26f54bbd31215b313d1db7881",
+    "lam0_longer_rolled_mix": "b40e1cb014c361638be2e99cada42a550ed390d01d116ea96023e4c4d28d160b",
+    "lam1_longer_rolled_mix": "badbc1b645296cdbf41245ce9245aae1e9b6b1c21de855446653df31c4b95775",
 }
 
 
@@ -230,16 +235,39 @@ def test_float64_stitched_padded_mel_digest(record_9s):
     assert sha256(bins.tobytes()) == FLOAT64["stitched_padded_mel"]
 
 
-def test_float64_rolled_lungmix_mix_digest(tmp_path):
-    """One lungmix pair of unequal lengths through the augment path, rolled."""
-    plan, cfg = AugmentPlan(), PipelineConfig()
+def rolled_pair_mix(tmp_path, plan: AugmentPlan, seed: int):
+    """`_mix_one` on a 4 s crackle and a 3 s wheeze record prepared for `plan`."""
+    cfg = PipelineConfig()
     pair, sources = [], []
     for label, seconds in (("crackle", 4.0), ("wheeze", 3.0)):
         wave, rec = synth(SynthSpec(label=label, duration_s=seconds, seed=5))
         write_wav(tmp_path / f"{label}.wav", wave)
         pair.append(rec)
         sources.append(_prepare(tmp_path / f"{label}.wav", plan, cfg))
-    result = _mix_one(9, tuple(pair), tuple(sources), plan, cfg)
-    assert result.provenance.rolled is not None
+    result = _mix_one(seed, tuple(pair), tuple(sources), plan, cfg)
     assert len(result.audio) == 4 * 16000
+    return result
+
+
+def test_float64_rolled_lungmix_mix_digest(tmp_path):
+    """One lungmix pair of unequal lengths through the augment path, rolled."""
+    result = rolled_pair_mix(tmp_path, AugmentPlan(), 9)
+    assert result.provenance.rolled is not None
     assert sha256(result.audio.samples.tobytes()) == FLOAT64["rolled_lungmix_mix"]
+
+
+# digest name -> (plan, pair seed, side the pair rolls)
+ROLLED_SIDE = {
+    "max_shorter_rolled_mix": (AugmentPlan(semantics="max"), 1, "b"),
+    "lam0_longer_rolled_mix": (AugmentPlan(lam=0.0), 2, "a"),
+    "lam1_longer_rolled_mix": (AugmentPlan(lam=1.0), 2, "a"),
+}
+
+
+@pytest.mark.parametrize("name", list(ROLLED_SIDE))
+def test_float64_rolled_side_digest(tmp_path, name):
+    """The mask's `max` branch on a padded rolled side, and its copy-exact ends."""
+    plan, seed, rolled = ROLLED_SIDE[name]
+    result = rolled_pair_mix(tmp_path, plan, seed)
+    assert result.provenance.rolled == rolled
+    assert sha256(result.audio.samples.tobytes()) == FLOAT64[name]

@@ -9,19 +9,28 @@ from hypothesis import strategies as st
 
 from lungmix.errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch
 from lungmix.labels import FOUR_CLASS, MODES, SoftTriple
-from lungmix.masks import MixMask, MixParams, loudness_mask
+from lungmix.masks import (
+    SEMANTICS,
+    MixMask,
+    MixParams,
+    combine_masks,
+    loudness_mask,
+    random_mask,
+)
 from lungmix.mixing import (
+    MIX_BLOCK,
     STRATEGIES,
     MixRequest,
     apply_mix_mask,
     cutmix_kernel,
     lungmix,
+    lungmix_kernel,
     lungmix_trace,
     mix,
     shift_roll_pair,
     vanilla_mixup,
 )
-from lungmix.pipeline import Spectrogram, Waveform
+from lungmix.pipeline import Spectrogram, Waveform, pad_to_length
 from lungmix.synth import SynthSpec, synth
 
 CRACKLE = FOUR_CLASS.vector("crackle")
@@ -217,6 +226,71 @@ class TestLungmix:
             replace(request(a, b, strategy="mixup"), loudness=masks)
         with pytest.raises(ShapeMismatch):
             replace(request(a, b), loudness=(masks[0], masks[1][:10]))
+
+    def test_roll_is_lungmix_only(self):
+        a, b = noise_wave(43), noise_wave(44)
+        with pytest.raises(InvalidConfig):
+            replace(request(a, b, strategy="mixup"), roll=True)
+
+    def test_trace_and_mix_roll_and_blend_alike(self):
+        a, b = noise_wave(45, n=3000), noise_wave(46, n=5000)
+        req = replace(request(a, b, seed=47), roll=True)
+        res, trace = lungmix(req), lungmix_trace(req)
+        assert trace.mixed.samples.tobytes() == res.audio.samples.tobytes()
+        prov = res.provenance
+        side = {"a": (a, trace.audio_a, trace.mask_a), "b": (b, trace.audio_b, trace.mask_b)}
+        source, placed, mask = side[prov.rolled]
+        rolled = np.roll(source.samples, prov.roll_offset)
+        assert placed.samples[: len(source)].tobytes() == rolled.tobytes()
+        assert np.array_equal(mask[: len(source)], np.roll(loudness_mask(source), prov.roll_offset))
+        unrolled = mix(replace(req, roll=False)).provenance
+        assert unrolled.rolled is None
+        assert prov == replace(unrolled, rolled=prov.rolled, roll_offset=prov.roll_offset)
+
+
+def wave_with_zeros(seed, n):
+    """Noise with loud spikes, and samples of +0.0 and -0.0, whose signs a
+    copy-exact blend must keep as `apply_mix_mask` does."""
+    x = np.random.default_rng(seed).uniform(-0.1, 0.1, n)
+    x[::501] *= 20.0
+    x[::89] = 0.0
+    x[::97] = -0.0
+    return Waveform(x, 16000)
+
+
+def reference_lungmix(a, b, lam, rng, params, roll):
+    """The lungmix pair through the public reference steps: `np.roll`,
+    `pad_to_length`, `random_mask`, `combine_masks` and `apply_mix_mask`."""
+    sources, loud = [a, b], [loudness_mask(a), loudness_mask(b)]
+    if roll is not None:
+        i = "ab".index(roll[0])
+        w = sources[i]
+        sources[i] = Waveform(np.roll(w.samples, roll[1]), w.sample_rate)
+        loud[i] = np.roll(loud[i], roll[1])
+    n = max(len(a), len(b))
+    a, b = (pad_to_length(w, n, rng) for w in sources)
+    mask_a, mask_b = (np.concatenate([m, np.zeros(n - m.size, bool)]) for m in loud)
+    rand = random_mask(n, params.random_density, rng)
+    return apply_mix_mask(a, b, combine_masks(mask_a, mask_b, rand, lam, params.semantics))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("semantics", SEMANTICS)
+def test_blocked_kernel_matches_the_reference(semantics, lam, density):
+    """The one-pass kernel gives the reference's bytes at and around block
+    boundaries, whichever side is shorter or rolled, at the ends of the roll."""
+    params = MixParams(random_density=density, semantics=semantics)
+    for n in (MIX_BLOCK - 1, MIX_BLOCK, MIX_BLOCK + 1, 3 * MIX_BLOCK + 7):
+        for len_a, len_b in ((n // 2 + 1, n), (n, n // 2 + 1), (n, n)):
+            a, b = wave_with_zeros(len_a, len_a), wave_with_zeros(len_b + 1, len_b)
+            rolls = [None] + [
+                (side, offset) for side, k in (("a", len_a), ("b", len_b)) for offset in (0, k - 1)
+            ]
+            for roll in rolls:
+                got, _ = lungmix_kernel(a, b, lam, np.random.default_rng(n), params, roll=roll)
+                want = reference_lungmix(a, b, lam, np.random.default_rng(n), params, roll)
+                assert got.samples.tobytes() == want.samples.tobytes(), (n, len_a, len_b, roll)
 
 
 class TestVanillaMixup:

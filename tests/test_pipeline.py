@@ -1,11 +1,13 @@
 """Preprocessing contracts, checked against FFT and RMS oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import resample_poly
 
 from lungmix import pipeline
 from lungmix.errors import EmptyAudio, InvalidConfig, NumericalError
@@ -74,6 +76,16 @@ class TestResample:
     def test_same_rate_returns_input(self):
         w = tone(100.0)
         assert resample(w, 16000) is w
+
+    @pytest.mark.parametrize(
+        ("rate", "target"), [(44100, 16000), (22050, 16000), (8000, 16000), (4000, 16000), (16000, 8000)]
+    )
+    def test_cached_filter_gives_scipys_default_bytes(self, rng, rate, target):
+        x = rng.standard_normal(rate // 3) * 0.1
+        g = math.gcd(rate, target)
+        expected = resample_poly(x, target // g, rate // g)
+        for _ in range(2):  # designs the filter, then reuses it
+            assert resample(Waveform(x, rate), target).samples.tobytes() == expected.tobytes()
 
 
 class TestWaveform:
