@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch
 from .labels import LabelVector, SoftTriple, interpolate_label
 from .masks import MixMask, MixParams, loudness_mask, sample_lambda
-from .pipeline import PAD_EPS, Spectrogram, Waveform
+from .pipeline import Spectrogram, Waveform, placed
 from .rng import derive_rng
 
 STRATEGIES = ("lungmix", "mixup", "cutmix", "patchmix")
@@ -151,26 +151,13 @@ def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
     return Waveform(out, a.sample_rate)
 
 
-def _placed(x: np.ndarray, offset: int, n: int, tail) -> np.ndarray:
-    """`np.roll(x, offset)` followed by `tail` up to length `n`, written once;
-    `x` itself when that changes nothing."""
-    if offset == 0 and x.size == n:
-        return x
-    out = np.empty(n, x.dtype)
-    out[offset : x.size] = x[: x.size - offset]
-    out[:offset] = x[x.size - offset :]
-    out[x.size :] = tail
-    return out
-
-
 def _pad_pair(
     a: Waveform, b: Waveform, rng: np.random.Generator, offsets: tuple[int, int] = (0, 0)
 ) -> tuple[np.ndarray, np.ndarray]:
     """The samples of both sources rolled by `offsets`, the shorter one padded
-    to the longer one's length with `pad_to_length`'s noise (a draws first)."""
+    to the longer one's length with `placed`'s noise (a draws first)."""
     n = max(len(a), len(b))
-    tails = [rng.uniform(-PAD_EPS, PAD_EPS, n - len(w)) if len(w) < n else 0 for w in (a, b)]
-    return tuple(_placed(w.samples, k, n, tail) for w, k, tail in zip((a, b), offsets, tails))
+    return tuple(placed(w.samples, n, rng, k) for w, k in zip((a, b), offsets))
 
 
 def _lungmix_pass(
@@ -190,7 +177,7 @@ def _lungmix_pass(
     n = max(len(a), len(b))
     offsets = tuple(roll[1] if roll and roll[0] == side else 0 for side in "ab")
     x_a, x_b = _pad_pair(a, b, rng, offsets)
-    mask_a, mask_b = (_placed(m, k, n, False) for m, k in zip(loudness, offsets))
+    mask_a, mask_b = (placed(m, n, offset=k) for m, k in zip(loudness, offsets))
     union = mask_a | mask_b
     cut = 1.0 - params.random_density
     rand = np.empty(min(block, n), dtype=bool)
@@ -235,6 +222,13 @@ def mixup_kernel(
     return Waveform(lam * x_a + (1.0 - lam) * x_b, a.sample_rate), lam
 
 
+def _share(lam: float, n: int) -> tuple[int, float]:
+    """The round((1 - lam) * n) of `n` units that a cut replaces, and the
+    exact fraction of them kept: `lam` itself when there are none."""
+    k = int(round((1.0 - lam) * n))
+    return k, 1.0 - k / n if n else lam
+
+
 def cutmix_kernel(
     a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
 ) -> tuple[Waveform, float]:
@@ -245,11 +239,11 @@ def cutmix_kernel(
     """
     x_a, x_b = _pad_pair(a, b, rng)
     n = len(x_a)
-    seg = int(round((1.0 - lam) * n))
+    seg, kept = _share(lam, n)
     offset = int(rng.integers(0, n - seg + 1))
     out = x_a.copy()
     out[offset : offset + seg] = x_b[offset : offset + seg]
-    return Waveform(out, a.sample_rate), 1.0 - seg / n
+    return Waveform(out, a.sample_rate), kept
 
 
 def patchmix(
@@ -274,7 +268,7 @@ def patchmix(
         )
     grid_r, grid_c = rows // PATCH_SIZE, cols // PATCH_SIZE
     n_patches = grid_r * grid_c
-    n_replace = int(round((1.0 - lam) * n_patches))
+    n_replace, kept = _share(lam, n_patches)
     swap = np.zeros(n_patches, dtype=bool)
     swap[rng.choice(n_patches, size=n_replace, replace=False)] = True
     out = s_a.bins.copy()
@@ -283,7 +277,7 @@ def patchmix(
     np.copyto(
         out.reshape(patches), s_b.bins.reshape(patches), where=swap.reshape(grid_r, 1, grid_c, 1)
     )
-    return Spectrogram(out), 1.0 - n_replace / n_patches
+    return Spectrogram(out), kept
 
 
 def _draws(req: MixRequest) -> tuple[np.random.Generator, float, tuple[str, int] | None]:

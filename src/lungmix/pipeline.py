@@ -159,33 +159,33 @@ def bandpass(w: Waveform, low: float, high: float) -> Waveform:
     return Waveform(out, w.sample_rate)
 
 
-def pad_to_length(
-    w: Waveform, length: int, rng: np.random.Generator | None = None
-) -> Waveform:
-    """Truncate to `length` keeping the head, or pad the tail with uniform
-    noise in [-PAD_EPS, PAD_EPS] drawn from `rng`.
-
-    Truncation returns a view of `w`'s samples: a `Waveform` is never written
-    in place, so `rng` is needed only when padding.
-    """
-    if length < 0:
-        raise InvalidConfig("target length must be non-negative")
-    n = len(w)
-    if n >= length:
-        return Waveform(w.samples[:length], w.sample_rate)
-    if rng is None:
-        raise InvalidConfig("noise padding requires an explicit rng")
-    tail = rng.uniform(-PAD_EPS, PAD_EPS, length - n)
-    return Waveform(np.concatenate([w.samples, tail]), w.sample_rate)
+def placed(
+    x: np.ndarray, n: int, rng: np.random.Generator | None = None, offset: int = 0
+) -> np.ndarray:
+    """`np.roll(x, offset)` followed up to length `n` (at least `x.size`) by
+    uniform noise in [-PAD_EPS, PAD_EPS] from `rng`, drawn only when `x` is
+    shorter, or by zeros without one; written once, `x` itself if unchanged."""
+    if offset == 0 and x.size == n:
+        return x
+    out = np.empty(n, x.dtype)
+    out[offset : x.size] = x[: x.size - offset]
+    out[:offset] = x[x.size - offset :]
+    if x.size < n:
+        out[x.size :] = 0 if rng is None else rng.uniform(-PAD_EPS, PAD_EPS, n - x.size)
+    return out
 
 
 def fit_length(
     w: Waveform, clip_seconds: float, rng: np.random.Generator | None = None
 ) -> Waveform:
-    """Cut or pad the waveform to exactly round(clip_seconds * rate) samples."""
+    """Cut the waveform to `sample_count(clip_seconds, rate)` samples, keeping
+    the head as a view, or pad its tail with `placed`'s noise from `rng`."""
     if clip_seconds <= 0:
         raise InvalidConfig("clip_seconds must be positive")
-    return pad_to_length(w, int(round(clip_seconds * w.sample_rate)), rng)
+    n = sample_count(clip_seconds, w.sample_rate, "clip_seconds")
+    if len(w) < n and rng is None:
+        raise InvalidConfig("noise padding requires an explicit rng")
+    return Waveform(placed(w.samples[:n], n, rng), w.sample_rate)
 
 
 def hz_to_mel(f):
@@ -222,8 +222,8 @@ FFT_BLOCK_ROWS = 64
 
 def _framing(cfg: PipelineConfig) -> tuple[int, int, int]:
     """Window, hop and FFT length in samples at `cfg.target_rate`."""
-    win = int(round(cfg.window_ms / 1000.0 * cfg.target_rate))
-    hop = int(round(cfg.hop_ms / 1000.0 * cfg.target_rate))
+    win = sample_count(cfg.window_ms / 1000.0, cfg.target_rate, "window_ms")
+    hop = sample_count(cfg.hop_ms / 1000.0, cfg.target_rate, "hop_ms")
     n_fft = 1
     while n_fft < win:
         n_fft *= 2
@@ -306,7 +306,7 @@ def condition(w: Waveform, cfg: PipelineConfig) -> Waveform:
 def needs_padding(w: Waveform, cfg: PipelineConfig) -> bool:
     """Whether `featurize` pads `w` up to the clip length; noise padding is
     the pipeline's only random draw."""
-    return len(w) < int(round(cfg.clip_seconds * w.sample_rate))
+    return len(w) < sample_count(cfg.clip_seconds, w.sample_rate, "clip_seconds")
 
 
 def featurize(

@@ -91,10 +91,10 @@ def _add_events(
     """Add `shape(size, width)` at each of `n_events` onsets, all drawn before
     the first shape, and annotate each event as `kind`."""
     rate = spec.sample_rate
-    width = max(int(round(event_ms / 1000.0 * rate)), min_width)
+    width = max(sample_count(event_ms / 1000.0, rate, f"{kind} width"), min_width)
     events = []
     for onset_s in _event_slots(spec.n_events, spec.duration_s, event_ms / 1000.0, rng):
-        start = int(round(onset_s * rate))
+        start = sample_count(onset_s, rate, f"{kind} onset")
         stop = min(start + width, x.size)
         x[start:stop] += shape(stop - start, width)
         events.append((start / rate, stop / rate, kind))
@@ -104,7 +104,7 @@ def _add_events(
 def synth(spec: SynthSpec) -> tuple[Waveform, RecordManifest]:
     """Generate one annotated record; identical specs give identical bytes."""
     rng = derive_rng(spec.seed, spec.label)
-    n = int(round(spec.duration_s * spec.sample_rate))
+    n = sample_count(spec.duration_s, spec.sample_rate, "duration_s")
     x = _noise_floor(n, spec.noise_floor, spec.sample_rate, rng)
 
     def crackle(size: int, width: int) -> np.ndarray:  # exponentially decaying noise burst

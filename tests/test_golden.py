@@ -60,10 +60,14 @@ PREPROCESS_SPEC = "f382b1b0adc883c202bec153ffe51989ba3b89828617890d8dc959938db76
 # pair; padded with 3 cached and 895 per pair
 PATCHMIX_SECONDS = (9.5, 6.0, 8.95, 0.05)
 PATCHMIX_PADDING = "9edd8ef988c7b773513a5b767c3b8170b02ecf62a75c9504b46e5a0e18723f04"
-# strategy -> digest over a corpus synthesized at 44.1 kHz (4 s) and 8 kHz (9.5 s)
+# strategy -> digest over a corpus synthesized at 44.1 kHz (4 s) and 8 kHz (9.5 s):
+# four of the six pairs mix a 4 s and a 9.5 s source, so the waveform
+# strategies pad one side with noise
 MIXED_RATE = {
     "lungmix": "edfb7d46c0e0fffa5662eddaabdc03da8bc9a66413c9060edf01aa1e5ae82d0a",
     "patchmix": "dadf2dbfe7e522ffc1b98346b9f92c3c492f09310fc1b46ef99867b6f7a7e2c9",
+    "mixup": "5a23fe3952530fd2c59e0e3b6b1f5f49984df46113be2418c1f5cba45d800d51",
+    "cutmix": "16bf3a381436873c4d234fa96e75526f09fe6a1cac046b6e19ef777faa8e9b2d",
 }
 PREPROCESS_44K_SPEC = "03dfdf82fd6e36b0fc06b62be85382f1903a1aa003d2c9a29ba56087532443d3"
 # sha256 of float64 `.tobytes()` on a 9 s 16 kHz synth record: its log-mel, that

@@ -30,7 +30,7 @@ from lungmix.mixing import (
     shift_roll_pair,
     vanilla_mixup,
 )
-from lungmix.pipeline import Spectrogram, Waveform, pad_to_length
+from lungmix.pipeline import PAD_EPS, Spectrogram, Waveform
 from lungmix.synth import SynthSpec, synth
 
 CRACKLE = FOUR_CLASS.vector("crackle")
@@ -258,9 +258,19 @@ def wave_with_zeros(seed, n):
     return Waveform(x, 16000)
 
 
+def noise_padded(w, n, rng):
+    """`w` with its tail padded to `n` samples by uniform noise in
+    [-PAD_EPS, PAD_EPS], drawn only when it is shorter; written here rather
+    than taken from `pipeline.placed`, which the kernel itself calls."""
+    if len(w) == n:
+        return w
+    tail = rng.uniform(-PAD_EPS, PAD_EPS, n - len(w))
+    return Waveform(np.concatenate([w.samples, tail]), w.sample_rate)
+
+
 def reference_lungmix(a, b, lam, rng, params, roll):
     """The lungmix pair through the public reference steps: `np.roll`,
-    `pad_to_length`, `random_mask`, `combine_masks` and `apply_mix_mask`."""
+    `noise_padded`, `random_mask`, `combine_masks` and `apply_mix_mask`."""
     sources, loud = [a, b], [loudness_mask(a), loudness_mask(b)]
     if roll is not None:
         i = "ab".index(roll[0])
@@ -268,7 +278,7 @@ def reference_lungmix(a, b, lam, rng, params, roll):
         sources[i] = Waveform(np.roll(w.samples, roll[1]), w.sample_rate)
         loud[i] = np.roll(loud[i], roll[1])
     n = max(len(a), len(b))
-    a, b = (pad_to_length(w, n, rng) for w in sources)
+    a, b = (noise_padded(w, n, rng) for w in sources)
     mask_a, mask_b = (np.concatenate([m, np.zeros(n - m.size, bool)]) for m in loud)
     rand = random_mask(n, params.random_density, rng)
     return apply_mix_mask(a, b, combine_masks(mask_a, mask_b, rand, lam, params.semantics))
@@ -399,6 +409,21 @@ class TestDispatch:
             mix(request(a, b, strategy="patchmix", seed=67))
         with pytest.raises(InvalidConfig):
             mix(request(noise_spec(68), noise_spec(69), strategy="lungmix"))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_empty_sources_mix_to_an_empty_result(self, strategy):
+        """No kernel divides by the length of an empty pair: the kept share
+        is lam itself. lungmix is given its sources' (empty) loudness masks,
+        since a loudness statistic of no samples does not exist."""
+        patch = strategy == "patchmix"
+        empty = np.zeros((0, 1024)) if patch else np.zeros(0)
+        source = Spectrogram(empty) if patch else Waveform(empty, 16000)
+        req = request(source, source, strategy=strategy, interpolation="linear", lam=0.3)
+        if strategy == "lungmix":
+            req = replace(req, loudness=(np.zeros(0, bool),) * 2)
+        res = mix(req)
+        assert (res.audio.bins if patch else res.audio.samples).shape == empty.shape
+        assert res.soft_target.lam == 0.3
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -12,6 +12,7 @@ from scipy.signal import resample_poly
 from lungmix import pipeline
 from lungmix.errors import EmptyAudio, InvalidConfig, NumericalError
 from lungmix.pipeline import (
+    PAD_EPS,
     PipelineConfig,
     Spectrogram,
     Waveform,
@@ -21,8 +22,9 @@ from lungmix.pipeline import (
     fit_length,
     mel_head,
     mel_spectrogram,
+    needs_padding,
     normalize_spectrogram,
-    pad_to_length,
+    placed,
     preprocess,
     resample,
 )
@@ -171,9 +173,16 @@ class TestFitLength:
     def test_no_padding_returns_a_view(self):
         w = Waveform(np.ones(1000) * 0.1, 16000)
         for length in (1000, 600):
-            out = pad_to_length(w, length)
+            out = fit_length(w, length / 16000)
             assert len(out) == length
             assert np.shares_memory(out.samples, w.samples)
+
+    def test_overflowing_length_is_a_config_error(self):
+        """A clip no array could hold is a config error, not an OverflowError."""
+        with pytest.raises(InvalidConfig):
+            fit_length(Waveform(np.zeros(10), 16000), 1e308, np.random.default_rng(0))
+        with pytest.raises(InvalidConfig):
+            needs_padding(Waveform(np.zeros(4), 10**308), PipelineConfig())
 
     def test_length_exact_for_1000_random_pairs(self):
         rng = np.random.default_rng(42)
@@ -186,9 +195,33 @@ class TestFitLength:
             assert len(fit_length(w, clip, pad_rng)) == int(round(clip * rate))
 
     @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=3000))
-    def test_pad_to_length_exact(self, n, target):
+    def test_fit_length_exact(self, n, target):
         w = Waveform(np.zeros(n), 16000)
-        assert len(pad_to_length(w, target, np.random.default_rng(0))) == target
+        # a quarter sample over `target` rounds to it, and is positive at 0
+        assert len(fit_length(w, (target + 0.25) / 16000, np.random.default_rng(0))) == target
+
+
+class TestPlaced:
+    @pytest.mark.parametrize("longer", [0, 7])
+    def test_roll_then_pad(self, longer):
+        """`np.roll` then `np.concatenate` of the tail: noise drawn from the
+        generator for a float source, zeros for a mask without one."""
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, 50)
+        n = x.size + longer
+        for offset in (0, x.size - 1):
+            tail = np.random.default_rng(4).uniform(-PAD_EPS, PAD_EPS, longer)
+            want = np.concatenate([np.roll(x, offset), tail])
+            assert placed(x, n, np.random.default_rng(4), offset).tobytes() == want.tobytes()
+            loud = x > 0.5
+            mask = placed(loud, n, offset=offset)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, np.concatenate([np.roll(loud, offset), np.zeros(longer)]))
+
+    def test_unchanged_source_is_returned_without_a_draw(self):
+        x, rng = np.arange(5.0), np.random.default_rng(0)
+        assert placed(x, 5, rng) is x
+        assert placed(x, 5, rng, 2).tolist() == np.roll(x, 2).tolist()
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestMelSpectrogram:
