@@ -22,6 +22,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .audio_io import read_wav
 from .dataset import PAIRINGS, RecordManifest, export_augmented, pair_records, resolve_audio_path
 from .errors import InvalidConfig, check_fields
 from .labels import FOUR_CLASS, MODES, LabelVector
-from .masks import MixParams, loudness_mask
+from .masks import SEMANTICS, MixParams, loudness_mask
 from .mixing import PATCH_SIZE, STRATEGIES, MixRequest, MixResult, mix
 from .pipeline import (
     PipelineConfig,
@@ -51,30 +52,24 @@ MAX_WORKERS = 64
 
 @dataclass(frozen=True)
 class AugmentPlan:
-    strategy: str = "lungmix"
-    interpolation: str = "nonlinear"
-    alpha: float = 1.0
-    lam: float | None = None
-    random_density: float = 0.5
-    semantics: str = "loudness_precedence"
-    pairing: str = "uniform"
+    strategy: Literal[STRATEGIES] = "lungmix"
+    interpolation: Literal[MODES] = "nonlinear"
+    alpha: float = MixParams.alpha
+    lam: float | None = MixParams.lam
+    random_density: float = MixParams.random_density
+    semantics: Literal[SEMANTICS] = MixParams.semantics
+    pairing: Literal[PAIRINGS] = "uniform"
     n_pairs: int = 10
     apply_roll: bool = True
     workers: int = 1
 
     def __post_init__(self):
         check_fields(self)
-        if self.strategy not in STRATEGIES:
-            raise InvalidConfig(f"unknown strategy {self.strategy!r}")
-        if self.interpolation not in MODES:
-            raise InvalidConfig(f"unknown interpolation mode {self.interpolation!r}")
-        if self.pairing not in PAIRINGS:
-            raise InvalidConfig(f"unknown pairing policy {self.pairing!r}")
         if self.n_pairs < 1:
             raise InvalidConfig(f"n_pairs must be at least 1, got {self.n_pairs}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise InvalidConfig(f"workers must be from 1 to {MAX_WORKERS}, got {self.workers}")
-        self.mix_params(0)  # MixParams checks alpha, lam, random_density and semantics
+        self.mix_params(0)  # MixParams checks the ranges of alpha, lam and random_density
 
     def mix_params(self, seed: int) -> MixParams:
         """The mixing knobs of the pair whose stream descends from `seed`."""

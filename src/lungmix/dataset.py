@@ -17,11 +17,12 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from .audio_io import write_spectrogram, write_wav
-from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel, fits
+from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel, check_fields, fits
 from .labels import FOUR_CLASS
 from .pipeline import Spectrogram, Waveform
 
@@ -54,10 +55,10 @@ class RecordManifest:
 
     record_id: str
     audio_path: str
-    dataset: str
-    split: str
+    dataset: Literal[DATASETS]
+    split: Literal[SPLITS]
     label_raw: str
-    label_unified: str | None = None
+    label_unified: Literal[FOUR_CLASS.categories()] | None = None
     segment: tuple[float, float] | None = None
     events: list[tuple[float, float, str]] | None = None
     soft_target: dict | None = None
@@ -65,25 +66,14 @@ class RecordManifest:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("record_id", "audio_path", "dataset", "split", "label_raw"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise InvalidConfig(f"{name} must be a string, got {value!r}")
-        if self.dataset not in DATASETS:
-            raise InvalidConfig(f"unknown dataset {self.dataset!r}")
-        if self.split not in SPLITS:
-            raise InvalidConfig(f"unknown split {self.split!r}")
-        if self.label_unified is not None and self.label_unified not in FOUR_CLASS.categories():
-            raise InvalidConfig(f"unknown unified label {self.label_unified!r}")
+        check_fields(self)
         if self.segment is not None:
             if len(self.segment) != 2:
                 raise InvalidConfig(f"segment must be [start, end], got {list(self.segment)}")
             start, end = self.segment
             if not (0 <= start < end):
                 raise InvalidConfig(f"segment times must satisfy 0 <= start < end, got {self.segment}")
-        if self.events is not None and not (
-            isinstance(self.events, (list, tuple)) and all(map(_is_event, self.events))
-        ):
+        if self.events is not None and not all(map(_is_event, self.events)):
             raise InvalidConfig(
                 f"events must be a list of [start, end, label] with finite "
                 f"0 <= start <= end and a string label, got {self.events!r}"
@@ -104,7 +94,7 @@ class RecordManifest:
         for req in ("record_id", "audio_path", "dataset", "split", "label_raw"):
             if req not in kwargs:
                 raise ParseError(f"missing required field {req!r}")
-        if kwargs.get("segment") is not None:
+        if isinstance(kwargs.get("segment"), list):
             kwargs["segment"] = tuple(kwargs["segment"])
         if isinstance(kwargs.get("events"), list):
             kwargs["events"] = [tuple(e) if isinstance(e, list) else e for e in kwargs["events"]]

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the toolkit, and the one check of the
-values a config dataclass holds.
+values a dataclass built from outside values holds.
 
 Every error carries a ``category`` used by the CLI to pick its exit code:
 ``config`` -> 2, ``data`` -> 3, ``io`` -> 4.
@@ -9,7 +9,8 @@ import sys
 from dataclasses import fields
 from functools import lru_cache
 from numbers import Integral, Real
-from typing import get_args, get_type_hints
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 
 class LungmixError(Exception):
@@ -26,15 +27,23 @@ _NUMBERS = {int: (int, Integral), float: (float, Real)}
 
 
 @lru_cache(maxsize=None)
-def _kinds(annotation) -> tuple[type, ...]:
-    return tuple(k for arm in get_args(annotation) or (annotation,) for k in _NUMBERS.get(arm, (arm,)))
+def _kinds(annotation) -> tuple[tuple[type, ...], tuple]:
+    """The types a field annotated `annotation` takes, a union arm by its
+    origin (`tuple[float, float]` by `tuple`), and its `Literal` arm's values."""
+    arms = get_args(annotation) if get_origin(annotation) in (Union, UnionType) else (annotation,)
+    values = tuple(v for arm in arms if get_origin(arm) is Literal for v in get_args(arm))
+    kinds = (_NUMBERS.get(arm, (get_origin(arm) or arm,)) for arm in arms if get_origin(arm) is not Literal)
+    return sum(kinds, ()), values
 
 
 def fits(annotation, value) -> bool:
     """Whether `value` may fill a field annotated `annotation`: a `bool` is
     not an `int`, an `int` field takes any integral number (numpy's too), a
-    `float` field takes any real number, and `X | None` also takes None."""
-    kinds = _kinds(annotation)
+    `float` field takes any real number, a `Literal[...]` field takes a `str`
+    among its values, and `X | None` also takes None."""
+    kinds, values = _kinds(annotation)
+    if isinstance(value, str) and value in values:
+        return True
     return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
 
 
@@ -51,7 +60,8 @@ def check_fields(config) -> None:
     for name, annotation in _annotations(type(config)):
         value = getattr(config, name)
         if not fits(annotation, value):
-            kind = getattr(annotation, "__name__", annotation)
+            values = _kinds(annotation)[1]
+            kind = f"one of {values}" if values else getattr(annotation, "__name__", annotation)
             raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
         if isinstance(value, (float, int, Real)) and not abs(value) <= sys.float_info.max:
             raise InvalidConfig(f"{name} must be finite, got {value}")

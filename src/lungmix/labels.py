@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NumericalError, SchemaMismatch, ShapeMismatch
+from .errors import InvalidConfig, NumericalError, SchemaMismatch, ShapeMismatch, check_fields
 
 MODES = ("linear", "nonlinear", "combined", "preserve")
 
@@ -108,6 +108,9 @@ class LossWeights:
     weight 1; lambda2=None applies the rescale rule."""
 
     lambda2: float | None = None
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _check_schema(y_a: LabelVector, y_b: LabelVector) -> None:

@@ -10,11 +10,12 @@ function of the request, so identical requests regenerate bit-identical output.
 """
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch
-from .labels import LabelVector, SoftTriple, interpolate_label
+from .errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch, check_fields
+from .labels import MODES, LabelVector, SoftTriple, interpolate_label
 from .masks import MixMask, MixParams, loudness_mask, sample_lambda
 from .pipeline import Spectrogram, Waveform, placed
 from .rng import derive_rng
@@ -40,16 +41,15 @@ class MixRequest:
     audio_b: Waveform | Spectrogram
     label_b: LabelVector
     params: MixParams
-    strategy: str = "lungmix"
-    interpolation: str = "nonlinear"
+    strategy: Literal[STRATEGIES] = "lungmix"
+    interpolation: Literal[MODES] = "nonlinear"
     id_a: str = ""
     id_b: str = ""
     loudness: tuple[np.ndarray, np.ndarray] | None = None
     roll: bool = False
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise InvalidConfig(f"unknown strategy {self.strategy!r}")
+        check_fields(self)
         kind = Spectrogram if self.strategy == "patchmix" else Waveform
         for source in (self.audio_a, self.audio_b):
             if not isinstance(source, kind):

@@ -75,7 +75,8 @@ class Spectrogram:
 def sample_count(seconds: float, rate: int, name: str) -> int:
     """round(seconds * rate): the length of a configured span; a config error
     when no array could hold that many samples."""
-    if not seconds * rate < sys.maxsize:
+    # the rate first: an int rate may be too large to convert to a float
+    if not (rate < sys.maxsize and seconds * rate < sys.maxsize):
         raise InvalidConfig(f"{name} spans more samples at {rate} Hz than an array holds")
     return round(seconds * rate)
 

@@ -9,6 +9,7 @@ truth without any real recordings.
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -26,7 +27,7 @@ CORPUS_FILES = re.compile(r"corpus\.jsonl|synth-[a-z]+-\d{3,}\.wav")  # what mak
 
 @dataclass(frozen=True)
 class SynthSpec:
-    label: str = "normal"
+    label: Literal[FOUR_CLASS.categories()] = "normal"
     duration_s: float = 9.0
     sample_rate: int = 16000
     n_events: int = 3
@@ -40,8 +41,6 @@ class SynthSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.label not in FOUR_CLASS.categories():
-            raise InvalidConfig(f"unknown class {self.label!r}")
         if self.duration_s <= 0 or self.sample_rate <= 0:
             raise InvalidConfig("duration and sample rate must be positive")
         if sample_count(self.duration_s, self.sample_rate, "duration_s") < 1:
@@ -139,9 +138,9 @@ class CorpusPlan:
     """What `make_corpus` writes: per_class records of each class."""
 
     per_class: int = 1
-    duration_s: float = 9.0
-    sample_rate: int = 16000
-    n_events: int = 3
+    duration_s: float = SynthSpec.duration_s
+    sample_rate: int = SynthSpec.sample_rate
+    n_events: int = SynthSpec.n_events
 
     def __post_init__(self):
         check_fields(self)

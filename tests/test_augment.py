@@ -9,7 +9,7 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import fields
-from typing import get_args, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from lungmix.audio_io import read_wav, write_wav
 from lungmix.augment import AugmentPlan, augment_corpus
 from lungmix.dataset import RecordManifest, align_records, load_manifest, resolve_audio_path
 from lungmix.errors import InvalidConfig, ParseError
+from lungmix.labels import FOUR_CLASS
 from lungmix.mixing import STRATEGIES, MixRequest, lungmix_trace
 from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform, condition, featurize
 from lungmix.rng import derive_rng
@@ -92,6 +93,54 @@ def test_config_rejects_spans_no_array_holds(cls, field):
     """1e308 is finite, but its sample count is not."""
     with pytest.raises(InvalidConfig, match=f"{field} spans more samples"):
         cls(**{field: 1e308})
+
+
+def build(cls, **values):
+    """`cls` built from `values`, with any required field it lacks filled in:
+    patchmix mixes spectrograms, every other strategy waveforms."""
+    if cls is MixRequest:
+        patchmix = values.get("strategy") == "patchmix"
+        source = Spectrogram(np.zeros((16, 16))) if patchmix else Waveform(np.zeros(64), 16000)
+        normal = FOUR_CLASS.vector("normal")
+        values = dict(audio_a=source, label_a=normal, audio_b=source, label_b=normal,
+                      params=masks.MixParams(), **values)
+    if cls is RecordManifest:
+        values = dict(record_id="r", audio_path="x.wav", dataset="icbhi", split="train",
+                      label_raw="normal") | values
+    return cls(**values)
+
+
+def vocabularies() -> list:
+    """(class, field, values) for every field annotated `Literal[...]` or
+    `Literal[...] | None` in a dataclass that checks a closed vocabulary."""
+    found = []
+    for cls in (AugmentPlan, masks.MixParams, SynthSpec, MixRequest, RecordManifest):
+        for name, hint in get_type_hints(cls).items():
+            arms = (hint,) if get_origin(hint) is Literal else get_args(hint)
+            found += [pytest.param(cls, name, get_args(arm), id=f"{cls.__name__}-{name}")
+                      for arm in arms if get_origin(arm) is Literal]
+    return found
+
+
+VOCABULARIES = vocabularies()
+
+
+def test_every_vocabulary_is_annotated():
+    assert {p.id for p in VOCABULARIES} == {
+        "AugmentPlan-strategy", "AugmentPlan-interpolation", "AugmentPlan-semantics",
+        "AugmentPlan-pairing", "MixParams-semantics", "SynthSpec-label", "MixRequest-strategy",
+        "MixRequest-interpolation", "RecordManifest-dataset", "RecordManifest-split",
+        "RecordManifest-label_unified",
+    }
+
+
+@pytest.mark.parametrize("cls, field, values", VOCABULARIES)
+def test_vocabulary_fields_take_each_listed_value_and_nothing_else(cls, field, values):
+    for value in values:
+        assert getattr(build(cls, **{field: value}), field) == value
+    for value in ("bogus", values[0].upper(), 5):
+        with pytest.raises(InvalidConfig, match=f"{field} must be one of"):
+            build(cls, **{field: value})
 
 
 @pytest.fixture(scope="module")

@@ -674,6 +674,14 @@ FAULTS = [
         manifest_line(lambda rec: {**rec, "audio_path": 5}), (3, True, False),
         id="manifest-number-audio-path",
     ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "provenance": 5}), (3, True, False),
+        id="manifest-number-provenance",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "soft_target": "x"}), (3, True, False),
+        id="manifest-string-soft-target",
+    ),
     pytest.param(broken_copy(huge_fmt_chunk), (3, True, False), id="wav-huge-fmt-chunk"),
     pytest.param(config_error("--per-class", "0", command="synth"), (2, False), id="synth-zero-per-class"),
     pytest.param(config_error("--duration", "0", command="synth"), (2, False), id="synth-zero-duration"),

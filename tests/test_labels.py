@@ -206,6 +206,13 @@ class TestLungmixLoss:
         assert abs((ce / mix) * mix - ce) < 1e-9
 
 
+@pytest.mark.parametrize("lambda2", [float("nan"), float("inf"), "x", True], ids=repr)
+def test_loss_weights_reject_what_is_not_a_finite_float(lambda2):
+    """A NaN weight would make `lungmix_loss` return NaN."""
+    with pytest.raises(InvalidConfig, match="lambda2 must be"):
+        LossWeights(lambda2=lambda2)
+
+
 class TestSchemaValidation:
     def test_duplicate_abnormal_names_raise(self):
         with pytest.raises(InvalidConfig):

@@ -410,6 +410,10 @@ class TestDispatch:
         with pytest.raises(InvalidConfig):
             mix(request(noise_spec(68), noise_spec(69), strategy="lungmix"))
 
+    def test_unknown_interpolation_is_refused_before_mixing(self):
+        with pytest.raises(InvalidConfig, match="interpolation must be one of"):
+            request(noise_wave(62), noise_wave(63), interpolation="bogus")
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_empty_sources_mix_to_an_empty_result(self, strategy):
         """No kernel divides by the length of an empty pair: the kept share

@@ -184,6 +184,15 @@ class TestFitLength:
         with pytest.raises(InvalidConfig):
             needs_padding(Waveform(np.zeros(4), 10**308), PipelineConfig())
 
+    def test_rate_too_large_for_a_float_is_a_config_error(self):
+        """An int rate that no float holds is refused before `seconds * rate`
+        would raise OverflowError."""
+        wave = Waveform(np.zeros(4), 10**400)
+        with pytest.raises(InvalidConfig, match="clip_seconds spans more samples"):
+            needs_padding(wave, PipelineConfig())
+        with pytest.raises(InvalidConfig, match="clip_seconds spans more samples"):
+            fit_length(wave, 9.0, np.random.default_rng(0))
+
     def test_length_exact_for_1000_random_pairs(self):
         rng = np.random.default_rng(42)
         pad_rng = np.random.default_rng(43)  # apart, so the same 1000 cases are drawn
