@@ -38,15 +38,19 @@ SNAPSHOT = "config_snapshot.json"  # a run's resolved config; every stage owns i
 AUGMENT_FILES = re.compile(r"augmented\.jsonl|aug-\d{5,}\.(wav|spec)")  # what export_augmented writes
 
 
+def _is_seconds(t) -> bool:
+    """Whether `t` is a finite number of seconds: a real number, not a bool."""
+    # an int of any size is finite, but too large for math.isfinite
+    return fits(float, t) and (isinstance(t, int) or math.isfinite(t))
+
+
 def _is_event(event) -> bool:
-    """Whether `event` is (start, end, label): finite seconds, not bools, with
+    """Whether `event` is (start, end, label): finite seconds with
     0 <= start <= end, and a string label."""
     if not isinstance(event, (tuple, list)) or len(event) != 3:
         return False
     start, end, label = event
-    # an int of any size is finite, but too large for math.isfinite
-    seconds = all(fits(float, t) and (isinstance(t, int) or math.isfinite(t)) for t in (start, end))
-    return seconds and isinstance(label, str) and 0 <= start <= end
+    return _is_seconds(start) and _is_seconds(end) and isinstance(label, str) and 0 <= start <= end
 
 
 @dataclass
@@ -68,8 +72,10 @@ class RecordManifest:
     def __post_init__(self):
         check_fields(self)
         if self.segment is not None:
-            if len(self.segment) != 2:
-                raise InvalidConfig(f"segment must be [start, end], got {list(self.segment)}")
+            if len(self.segment) != 2 or not all(map(_is_seconds, self.segment)):
+                raise InvalidConfig(
+                    f"segment must be [start, end] in finite seconds, got {list(self.segment)}"
+                )
             start, end = self.segment
             if not (0 <= start < end):
                 raise InvalidConfig(f"segment times must satisfy 0 <= start < end, got {self.segment}")

@@ -65,7 +65,12 @@ class MixRequest:
         if self.strategy != "lungmix" and (self.loudness is not None or self.roll):
             raise InvalidConfig(f"strategy {self.strategy!r} takes no loudness masks or roll")
         if self.loudness is not None:
-            if [m.shape for m in self.loudness] != [(len(self.audio_a),), (len(self.audio_b),)]:
+            masks = self.loudness
+            if len(masks) != 2 or not all(
+                isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 1 for m in masks
+            ):
+                raise InvalidConfig("loudness must be two 1-D bool arrays, one per source")
+            if [m.size for m in masks] != [len(self.audio_a), len(self.audio_b)]:
                 raise ShapeMismatch("loudness masks must match their sources' lengths")
 
 

@@ -17,9 +17,9 @@ import ctypes
 from functools import lru_cache
 
 # glibc's `mallopt` parameters, and the values `claim_process` sets. The
-# largest per-record temporaries fit below the mmap threshold: `sosfiltfilt`'s
+# largest per-record temporaries fit below the mmap threshold: `bandpass`'s
 # work buffers (1.15 MB each for 9 s at 16 kHz, 3.2 MB at 44.1 kHz), the
-# 257x898 float64 power matrix of the log-mel (1.85 MB) and the PCM buffer.
+# 128x898 float64 log-mel bins (0.92 MB) and the PCM buffer.
 # The trim threshold is twice that, so a freed block is not handed back at once.
 # One arena: every thread allocates from the main heap.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8

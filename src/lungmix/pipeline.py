@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import butter, firwin, resample_poly, sosfiltfilt
+from scipy.signal import butter, firwin, resample_poly, sosfilt, sosfilt_zi
 from scipy.sparse import csr_array
 
 from .errors import EmptyAudio, InvalidConfig, NumericalError, check_fields
@@ -139,25 +139,37 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
 
 @lru_cache(maxsize=None)
-def _bandpass_sos(low: float, high: float, sample_rate: int) -> np.ndarray:
-    # left writable: scipy's filter kernel rejects read-only coefficients
-    return butter(4, [low, high], btype="bandpass", fs=sample_rate, output="sos")
+def _bandpass_design(low: float, high: float, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4th-order Butterworth bandpass as second-order sections, and the
+    state `sosfilt_zi` solves for a unit step through them, built once."""
+    # the sections are left writable: scipy's filter kernel rejects
+    # read-only coefficients
+    sos = butter(4, [low, high], btype="bandpass", fs=sample_rate, output="sos")
+    zi = sosfilt_zi(sos)
+    zi.flags.writeable = False
+    return sos, zi
 
 
 def bandpass(w: Waveform, low: float, high: float) -> Waveform:
-    """4th-order Butterworth bandpass, applied forward-backward (zero phase)."""
+    """4th-order Butterworth bandpass, applied forward-backward (zero phase).
+
+    The steps of `scipy.signal.sosfiltfilt` with its default odd extension,
+    shortened to `len(w) - 1` samples for short inputs, and the same bytes.
+    """
     if not (0 < low < high < w.sample_rate / 2):
         raise InvalidConfig(
             f"band edges must satisfy 0 < low < high < rate/2, got ({low}, {high})"
         )
     if len(w) == 0:
         raise EmptyAudio("cannot filter empty waveform")
-    sos = _bandpass_sos(low, high, w.sample_rate)
-    # sosfiltfilt needs padlen < signal length; shrink it for short inputs
-    default_padlen = 3 * (2 * sos.shape[0] + 1)
-    padlen = min(default_padlen, len(w) - 1)
-    out = sosfiltfilt(sos, w.samples, padlen=padlen)
-    return Waveform(out, w.sample_rate)
+    sos, zi = _bandpass_design(low, high, w.sample_rate)
+    x = w.samples
+    edge = min(3 * (2 * sos.shape[0] + 1), x.size - 1)
+    # each end of `x` reflected through its end sample
+    ext = np.concatenate((2 * x[0] - x[edge:0:-1], x, 2 * x[-1] - x[-2 : -edge - 2 : -1]))
+    y, _ = sosfilt(sos, ext, zi=zi * ext[:1])
+    y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1:])
+    return Waveform(y[::-1][edge : edge + x.size], w.sample_rate)
 
 
 def placed(
@@ -217,8 +229,16 @@ def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> csr_array:
     return fb
 
 
-# frames windowed and transformed together by `_log_mel`
+# frames windowed, transformed and reduced to mel bands together by `_log_mel`
 FFT_BLOCK_ROWS = 64
+
+
+@lru_cache(maxsize=None)
+def _hann(win: int) -> np.ndarray:
+    """`np.hanning(win)`, built once per width."""
+    window = np.hanning(win)
+    window.flags.writeable = False
+    return window
 
 
 def _framing(cfg: PipelineConfig) -> tuple[int, int, int]:
@@ -242,20 +262,28 @@ def _log_mel(x: np.ndarray, cfg: PipelineConfig, start: int, stop: int) -> np.nd
     if stop <= start:
         return np.empty((cfg.mel_bins, 0))
     win, hop, n_fft = _framing(cfg)
-    # a strided view of the frames, windowed and transformed a block of rows
-    # at a time: each row's FFT is independent of the others, and temporaries
-    # this small are reused from the heap instead of being mapped afresh
     frames = sliding_window_view(x, win)[hop * start : hop * (stop - 1) + 1 : hop]
-    window = np.hanning(win)
+    window = _hann(win)
+    fb = _cached_filterbank(cfg.mel_bins, n_fft, cfg.target_rate)
+    # a block of frames is windowed into the head of zero-padded FFT rows,
+    # transformed, and reduced to its mel bands while its power is still in
+    # cache; each column depends on its own frame alone, so the bytes do not
+    # depend on the block size
+    rows = min(FFT_BLOCK_ROWS, len(frames))
+    padded = np.zeros((rows, n_fft))
     # C order, one column per frame: the sparse product reads it as it is
-    power = np.empty((n_fft // 2 + 1, stop - start))
-    for i in range(0, stop - start, FFT_BLOCK_ROWS):
-        spectrum = np.fft.rfft(frames[i : i + FFT_BLOCK_ROWS] * window, n=n_fft, axis=1).T
-        block = np.square(spectrum.real, out=power[:, i : i + FFT_BLOCK_ROWS])
-        block += np.square(spectrum.imag)
-    mel_power = _cached_filterbank(cfg.mel_bins, n_fft, cfg.target_rate) @ power
-    np.maximum(mel_power, POWER_FLOOR, out=mel_power)
-    return np.log(mel_power, out=mel_power)
+    power = np.empty((n_fft // 2 + 1, rows))
+    # a column for each frame `x` holds, so none is left unwritten
+    mel = np.empty((cfg.mel_bins, len(frames)))
+    for i in range(0, len(frames), rows):
+        block = frames[i : i + rows]
+        np.multiply(block, window, out=padded[: len(block), :win])
+        spectrum = np.fft.rfft(padded[: len(block)], axis=1).T
+        block_power = np.square(spectrum.real, out=power[:, : len(block)])
+        block_power += np.square(spectrum.imag)
+        mel[:, i : i + len(block)] = fb @ block_power
+    np.maximum(mel, POWER_FLOOR, out=mel)
+    return np.log(mel, out=mel)
 
 
 def mel_spectrogram(

@@ -667,6 +667,14 @@ FAULTS = [
         id="manifest-three-item-segment",
     ),
     pytest.param(
+        manifest_line(lambda rec: {**rec, "segment": [0.0, float("inf")]}), (3, True, False),
+        id="manifest-infinite-segment",
+    ),
+    pytest.param(
+        manifest_line(lambda rec: {**rec, "segment": [True, 2]}), (3, True, False),
+        id="manifest-bool-segment",
+    ),
+    pytest.param(
         manifest_line(lambda rec: {**rec, "label_raw": 5}), (3, True, False),
         id="manifest-number-label-raw",
     ),

@@ -210,6 +210,15 @@ class TestLoadManifest:
         with pytest.raises(ParseError, match=":2:"):
             load_manifest(path)
 
+    def test_infinite_segment_reports_line(self, tmp_path):
+        """Python's `json` reads `Infinity`, so the manifest check must refuse it."""
+        path = tmp_path / "m.jsonl"
+        bad = {**record(1).to_dict(), "segment": [0, float("inf")]}
+        path.write_text(json.dumps(record(0).to_dict()) + "\n" + json.dumps(bad) + "\n")
+        (tmp_path / "x.wav").write_bytes(b"RIFF")
+        with pytest.raises(ParseError, match=":2:.*segment"):
+            load_manifest(path)
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("{not json\n")
@@ -337,3 +346,12 @@ class TestRecordValidation:
     def test_bad_segment_rejected(self):
         with pytest.raises(InvalidConfig):
             RecordManifest("r", "x.wav", "icbhi", "train", "normal", segment=(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "segment",
+        [(0, float("inf")), (float("nan"), 1.0), (True, 2), (0, False), ("a", "b"), (0, None)],
+        ids=["infinite-end", "nan-start", "bool-start", "bool-end", "strings", "none-end"],
+    )
+    def test_segment_bounds_are_finite_seconds(self, segment):
+        with pytest.raises(InvalidConfig, match="segment"):
+            RecordManifest("r", "x.wav", "icbhi", "train", "normal", segment=segment)

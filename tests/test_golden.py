@@ -77,6 +77,7 @@ PREPROCESS_44K_SPEC = "03dfdf82fd6e36b0fc06b62be85382f1903a1aa003d2c9a29ba560875
 # side rolled with lam pinned at 0 and at 1, where the mask only copies samples
 FLOAT64 = {
     "mel_spectrogram": "6f48eb2e72b1da5ae363cddb511690b4c8bf5db6b195d0c3a3722b085118eaee",
+    "unfiltered_mel_spectrogram": "f779367c45ba3279a3318b8f58953a813ff973537c3f71a14e3ddf1891f49aac",
     "normalize_spectrogram": "3c56ee6baa77b84b55056d8534c46ffa19f2d08974b67dca06d3b80f89b4368e",
     "stitched_padded_mel": "68dd788e86b3490ad2e52ee7349824bdb9356c5e572d199aad26f9b7007f1b29",
     "rolled_lungmix_mix": "2f0a827ee35f425c689a4e677e78675189058f3ec0ed5b1076ccce84178bdfd4",
@@ -221,6 +222,14 @@ def record_9s():
 def test_float64_mel_spectrogram_digest(record_9s):
     bins = mel_spectrogram(record_9s, PipelineConfig()).bins
     assert sha256(bins.tobytes()) == FLOAT64["mel_spectrogram"]
+
+
+def test_float64_unfiltered_mel_spectrogram_digest():
+    """The mel of a seeded waveform that never passed `bandpass`: it pins the
+    framing, FFT and filterbank sums apart from the filter's LAPACK solve."""
+    w = Waveform(np.random.default_rng(46).standard_normal(144000) * 0.1, 16000)
+    bins = mel_spectrogram(w, PipelineConfig()).bins
+    assert sha256(bins.tobytes()) == FLOAT64["unfiltered_mel_spectrogram"]
 
 
 def test_float64_normalize_spectrogram_digest(record_9s):

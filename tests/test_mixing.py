@@ -227,6 +227,21 @@ class TestLungmix:
         with pytest.raises(ShapeMismatch):
             replace(request(a, b), loudness=(masks[0], masks[1][:10]))
 
+    @pytest.mark.parametrize(
+        "masks",
+        [
+            pytest.param(([0] * 8, [0] * 8), id="lists"),
+            pytest.param((np.zeros(8), np.zeros(8)), id="float-arrays"),
+            pytest.param((np.zeros((8, 1), bool), np.zeros((8, 1), bool)), id="2-d"),
+            pytest.param((np.zeros(8, bool),), id="one-mask"),
+            pytest.param((np.zeros(8, bool),) * 3, id="three-masks"),
+        ],
+    )
+    def test_loudness_masks_are_two_boolean_vectors(self, masks):
+        a, b = noise_wave(45, n=8), noise_wave(46, n=8)
+        with pytest.raises(InvalidConfig, match="loudness"):
+            replace(request(a, b), loudness=masks)
+
     def test_roll_is_lungmix_only(self):
         a, b = noise_wave(43), noise_wave(44)
         with pytest.raises(InvalidConfig):

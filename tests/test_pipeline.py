@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.signal import resample_poly
+from scipy.signal import butter, resample_poly, sosfiltfilt
 
 from lungmix import pipeline
 from lungmix.errors import EmptyAudio, InvalidConfig, NumericalError
@@ -143,6 +143,34 @@ class TestBandpass:
         with pytest.raises(InvalidConfig):
             bandpass(w, 50.0, 9000.0)
 
+    @pytest.mark.parametrize("rate", [4000, 16000, 44100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 27, 28, 29, 1000, "9s"])
+    def test_equals_scipy_sosfiltfilt(self, rng, rate, n):
+        """The zero-phase filter repeats `sosfiltfilt` bit for bit, with the
+        odd extension shrunk to `n - 1` samples for inputs shorter than 28."""
+        x = rng.standard_normal(9 * rate if n == "9s" else n) * 0.1
+        sos = butter(4, [50.0, 1500.0], btype="bandpass", fs=rate, output="sos")
+        expected = sosfiltfilt(sos, x, padlen=min(27, x.size - 1))
+        assert np.array_equal(bandpass(Waveform(x, rate), 50.0, 1500.0).samples, expected)
+
+    def test_filter_state_solved_once_per_design(self, rng, monkeypatch):
+        solved = []
+        real = pipeline.sosfilt_zi
+
+        def counting(sos):
+            solved.append(sos.shape)
+            return real(sos)
+
+        monkeypatch.setattr(pipeline, "sosfilt_zi", counting)
+        pipeline._bandpass_design.cache_clear()
+        x = rng.standard_normal(4000) * 0.1
+        first = bandpass(Waveform(x, 16000), 50.0, 1500.0)
+        for low, rate in ((50.0, 16000), (50.0, 8000), (100.0, 16000), (50.0, 8000)):
+            bandpass(Waveform(x, rate), low, 1500.0)
+        assert len(solved) == 3
+        assert np.array_equal(bandpass(Waveform(x, 16000), 50.0, 1500.0).samples, first.samples)
+        assert not pipeline._bandpass_design(50.0, 1500.0, 16000)[1].flags.writeable
+
 
 class TestFitLength:
     def test_truncation_keeps_leading_segment(self):
@@ -269,9 +297,10 @@ class TestMelSpectrogram:
         assert mel_spectrogram(w, self.CFG).bins.tobytes() == default.tobytes()
 
     def test_peak_allocation_of_a_nine_second_record(self, rng):
-        # blocked strided framing keeps it near 4 MB; transforming all frames
-        # at once took 7.6 MB, and an index matrix plus a gathered copy of the
-        # frames 12.3 MB
+        # frames reduced to mel bands a block at a time keep it near 2.9 MB;
+        # a whole (n_fft/2 + 1, frames) power matrix took 3.8 MB, all frames
+        # transformed at once 7.6 MB, and an index matrix plus a gathered copy
+        # of the frames 12.3 MB
         w = Waveform(rng.standard_normal(144000) * 0.1, 16000)
         mel_spectrogram(w, self.CFG)  # builds the cached filterbank
         tracemalloc.start()
@@ -280,7 +309,7 @@ class TestMelSpectrogram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6e6
+        assert peak <= 3.5e6
 
     def test_wrong_rate_raises(self):
         w = Waveform(np.zeros(8000), 8000)
@@ -303,25 +332,36 @@ class TestMelSpectrogram:
         assert np.array_equal(mel_spectrogram(w, cfg).bins, first.bins)
         assert len(built) == 1
 
-    @pytest.mark.parametrize("mel_bins", [128, 64, 32])
-    def test_log_mel_sums_each_filter_in_bin_order(self, rng, mel_bins):
+    @pytest.mark.parametrize(
+        "mel_bins, window_ms, start, stop",
+        [
+            pytest.param(128, 25.0, 0, None, id="128"),
+            pytest.param(64, 25.0, 0, None, id="64"),
+            pytest.param(32, 25.0, 0, None, id="32"),
+            pytest.param(128, 32.0, 0, None, id="window-as-long-as-the-fft"),
+            pytest.param(128, 25.0, 7, 90, id="frames-7-to-90"),
+        ],
+    )
+    def test_log_mel_sums_each_filter_in_bin_order(self, rng, mel_bins, window_ms, start, stop):
         """`_log_mel` equals a plain loop that adds `fb[m, k] * power[k]` over
         each filter's non-zero bins in bin order: no BLAS kernel picks the
-        rounding."""
-        cfg = PipelineConfig(mel_bins=mel_bins)
+        rounding. At 16 kHz a 32 ms window fills the 512-point FFT with no
+        zeros; frames 7 to 90 start inside the record and end in a partial
+        block of `FFT_BLOCK_ROWS`."""
+        cfg = PipelineConfig(mel_bins=mel_bins, window_ms=window_ms)
         x = rng.standard_normal(16000) * 0.1
-        win, hop, n_fft = 400, 160, 512
-        n = (len(x) - win) // hop + 1
-        frames = np.stack([x[f * hop : f * hop + win] for f in range(n)])
+        win, hop, n_fft = round(window_ms * 16), 160, 512
+        stop = (len(x) - win) // hop + 1 if stop is None else stop
+        frames = np.stack([x[f * hop : f * hop + win] for f in range(start, stop)])
         spectrum = np.fft.rfft(frames * np.hanning(win), n=n_fft, axis=1)
         power = spectrum.real**2 + spectrum.imag**2
         fb = pipeline.mel_filterbank(mel_bins, n_fft, 16000)
-        mel = np.zeros((mel_bins, n))
+        mel = np.zeros((mel_bins, stop - start))
         for m in range(mel_bins):
             for k in np.flatnonzero(fb[m]):
                 mel[m] += fb[m, k] * power[:, k]
         expected = np.log(np.maximum(mel, pipeline.POWER_FLOOR))
-        assert np.array_equal(pipeline._log_mel(x, cfg, 0, n), expected)
+        assert np.array_equal(pipeline._log_mel(x, cfg, start, stop), expected)
 
 
 class TestMelHead:
