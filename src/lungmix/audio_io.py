@@ -53,7 +53,8 @@ def write_spectrogram(path, s: Spectrogram) -> None:
     mel_bins, frames = s.bins.shape
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", mel_bins, frames))
-        fh.write(s.bins.astype("<f4").tobytes(order="C"))
+        # float32 bins are written as they are, others through one cast copy
+        fh.write(np.ascontiguousarray(s.bins, "<f4"))
 
 
 def read_spectrogram(path) -> np.ndarray:

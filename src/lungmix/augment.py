@@ -38,8 +38,9 @@ from .pipeline import (
     Waveform,
     condition,
     featurize,
-    mel_head,
     needs_padding,
+    padded_spectrogram,
+    padding_split,
     resample,
 )
 from .rng import derive_rng, derive_seed
@@ -107,16 +108,19 @@ def _in_order(futures, ahead: int):
 class _Source:
     """A prepared record, shared read-only by every pair that uses it.
     `audio` is what a pair mixes (see `_prepare`), `loud` is lungmix's
-    `loudness_mask`, which the kernel rolls with the waveform, and `head` is
-    patchmix's `mel_head` columns, which padding noise cannot touch."""
+    `loudness_mask`, which the kernel rolls with the waveform. A padded
+    patchmix source holds in `audio` only its normalised float32 head
+    columns, which padding noise cannot touch, in `rest` its samples from
+    the first frame after them on, and in `length` its sample count."""
 
     audio: Waveform | Spectrogram
     loud: np.ndarray | None = None
-    head: np.ndarray | None = None
+    rest: np.ndarray | None = None
+    length: int = 0
 
     def __post_init__(self):
         audio = self.audio.bins if isinstance(self.audio, Spectrogram) else self.audio.samples
-        for array in (audio, self.loud, self.head):
+        for array in (audio, self.loud, self.rest):
             if array is not None:
                 array.flags.writeable = False
 
@@ -124,17 +128,18 @@ class _Source:
 def _prepare(path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig) -> _Source:
     """A source's deterministic preparation: the waveform resampled to the
     pipeline's rate, with its loudness mask for lungmix. For patchmix, the
-    bandpassed waveform with its `mel_head` columns when fitting its length
-    draws padding noise, so a pair computes only the frames that noise
-    overlaps; otherwise only the whole normalised spectrogram."""
+    bandpassed record's `padding_split` when fitting its length draws padding
+    noise, so a pair computes only the frames that noise overlaps; otherwise
+    only the whole normalised spectrogram, as float32."""
     audio = read_wav(path)
     if plan.strategy != "patchmix":
         audio = resample(audio, pipeline_cfg.target_rate)
         return _Source(audio, loud=loudness_mask(audio) if plan.strategy == "lungmix" else None)
     audio = condition(audio, pipeline_cfg)
     if needs_padding(audio, pipeline_cfg):
-        return _Source(audio, head=mel_head(audio, pipeline_cfg))
-    return _Source(featurize(audio, pipeline_cfg)[1])
+        head, rest = padding_split(audio, pipeline_cfg)
+        return _Source(head, rest=rest, length=len(audio))
+    return _Source(Spectrogram(featurize(audio, pipeline_cfg)[1].bins.astype(np.float32)))
 
 
 def _mix_one(
@@ -151,8 +156,9 @@ def _mix_one(
     if plan.strategy == "patchmix":
         # a stored spectrogram needed no padding; otherwise pad with this pair's noise
         audio_a, audio_b = (
-            featurize(s.audio, pipeline_cfg, derive_rng(seed, "prep", side), s.head)[1]
-            if isinstance(s.audio, Waveform) else s.audio
+            s.audio if s.rest is None else padded_spectrogram(
+                s.audio, s.rest, s.length, pipeline_cfg, derive_rng(seed, "prep", side)
+            )
             for s, side in zip(sources, "ab")
         )
     req = MixRequest(

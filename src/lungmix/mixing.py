@@ -258,10 +258,13 @@ def patchmix(
     rng: np.random.Generator,
     params: MixParams,
 ) -> tuple[Spectrogram, float]:
-    """Swap a seeded random fraction (1 - lam) of square spectrogram patches.
+    """Swap a seeded random fraction (1 - lam) of square spectrogram patches,
+    in the sources' dtype.
 
     The effective coefficient is the exact fraction of patches kept from a.
     """
+    if s_a.bins.dtype != s_b.bins.dtype:
+        raise InvalidConfig(f"spectrogram dtypes differ: {s_a.bins.dtype} vs {s_b.bins.dtype}")
     if s_a.bins.shape != s_b.bins.shape:
         raise ShapeMismatch(
             f"spectrogram shapes differ: {s_a.bins.shape} vs {s_b.bins.shape}"

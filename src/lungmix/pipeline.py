@@ -7,8 +7,9 @@ and the mel scale is HTK.
 """
 
 import sys
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd
 
 import numpy as np
@@ -59,12 +60,15 @@ class Waveform:
 
 @dataclass(frozen=True, eq=False)
 class Spectrogram:
-    """Log-mel bins with shape (mel_bins, frames)."""
+    """Log-mel bins with shape (mel_bins, frames): float32 bins are held as
+    they are, any other values as float64."""
 
     bins: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.float64)
+        arr = np.asarray(self.bins)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 2:
             raise InvalidConfig(f"spectrogram must be 2-D, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -112,7 +116,22 @@ class PipelineConfig:
                 raise InvalidConfig(f"{name} must span at least one sample at {self.target_rate} Hz")
 
 
-@lru_cache(maxsize=None)
+def _built_once(build):
+    """`lru_cache(maxsize=None)` over `build`, with its lookups taken under
+    one lock, so threads that miss together build the value once."""
+    cached = lru_cache(maxsize=None)(build)
+    lock = threading.Lock()
+
+    @wraps(build)
+    def get(*args):
+        with lock:
+            return cached(*args)
+
+    get.cache_clear = cached.cache_clear
+    return get
+
+
+@_built_once
 def _resample_filter(up: int, down: int) -> np.ndarray:
     """`resample_poly`'s default filter for `up`/`down`, built once; it scales a copy."""
     rate = max(up, down)
@@ -138,7 +157,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(out, target_rate)
 
 
-@lru_cache(maxsize=None)
+@_built_once
 def _bandpass_design(low: float, high: float, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
     """The 4th-order Butterworth bandpass as second-order sections, and the
     state `sosfilt_zi` solves for a unit step through them, built once."""
@@ -220,7 +239,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, 1.0)
 
 
-@lru_cache(maxsize=None)
+@_built_once
 def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> csr_array:
     """`mel_filterbank` as a canonical sparse matrix: a product with it sums
     each filter's non-zero bins in bin order, whatever the BLAS."""
@@ -233,7 +252,7 @@ def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> csr_array:
 FFT_BLOCK_ROWS = 64
 
 
-@lru_cache(maxsize=None)
+@_built_once
 def _hann(win: int) -> np.ndarray:
     """`np.hanning(win)`, built once per width."""
     window = np.hanning(win)
@@ -318,11 +337,45 @@ def mel_head(w: Waveform, cfg: PipelineConfig) -> np.ndarray:
     return _log_mel(w.samples, cfg, 0, _frame_count(len(w), cfg))
 
 
+def padding_split(w: Waveform, cfg: PipelineConfig) -> tuple[Spectrogram, np.ndarray]:
+    """What padding `w` to the clip cannot change, for `padded_spectrogram`:
+    its `mel_head` columns, normalised in float64 and held as float32, and a
+    copy of its samples from the first frame after them on, fewer than one
+    window (none when the head already fills every frame)."""
+    head = normalize_spectrogram(Spectrogram(mel_head(w, cfg)), cfg.norm_mean, cfg.norm_std)
+    start = head.bins.shape[1]
+    rest = w.samples[start * _framing(cfg)[1] :] if start < cfg.frames else w.samples[:0]
+    return Spectrogram(head.bins.astype(np.float32)), rest.copy()
+
+
+def padded_spectrogram(
+    head: Spectrogram, rest: np.ndarray, length: int, cfg: PipelineConfig, rng: np.random.Generator
+) -> Spectrogram:
+    """`featurize`'s normalised spectrogram, as float32, of a record of
+    `length` samples that `padding_split` split into `head` and `rest`, padded
+    with `rng`'s noise: only the frames the noise overlaps are computed."""
+    n = sample_count(cfg.clip_seconds, cfg.target_rate, "clip_seconds")
+    start, stop = head.bins.shape[1], _frame_count(n, cfg)
+    # `placed`'s draw; the first frame after the head begins `start * hop`
+    # samples into the clip, past the record's end when the hop exceeds the window
+    skip = max(start * _framing(cfg)[1] - length, 0)
+    x = np.concatenate((rest, rng.uniform(-PAD_EPS, PAD_EPS, n - length)[skip:]))
+    mel = _log_mel(x, cfg, 0, stop - start)
+    # `normalize_spectrogram`'s float64 arithmetic, in place
+    mel -= cfg.norm_mean
+    mel /= cfg.norm_std
+    bins = np.empty((cfg.mel_bins, cfg.frames), np.float32)
+    bins[:, :start] = head.bins
+    bins[:, start:stop] = mel
+    bins[:, stop:] = (np.log(POWER_FLOOR) - cfg.norm_mean) / cfg.norm_std
+    return Spectrogram(bins)
+
+
 def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogram:
-    """Elementwise (x - mean) / std."""
+    """Elementwise (x - mean) / std, computed in float64 whatever the bins' dtype."""
     if std <= 0:
         raise InvalidConfig(f"std must be positive, got {std}")
-    out = s.bins - mean
+    out = np.subtract(s.bins, mean, dtype=np.float64)
     out /= std
     return Spectrogram(out)
 
@@ -339,15 +392,12 @@ def needs_padding(w: Waveform, cfg: PipelineConfig) -> bool:
 
 
 def featurize(
-    w: Waveform,
-    cfg: PipelineConfig,
-    rng: np.random.Generator | None = None,
-    head: np.ndarray | None = None,
+    w: Waveform, cfg: PipelineConfig, rng: np.random.Generator | None = None
 ) -> tuple[Waveform, Spectrogram]:
     """The tail of `preprocess` on a conditioned waveform: fit length ->
-    log-mel -> normalize. `head` is `mel_head(w, cfg)`, if already known."""
+    log-mel -> normalize."""
     out = fit_length(w, cfg.clip_seconds, rng)
-    spec = mel_spectrogram(out, cfg, head)
+    spec = mel_spectrogram(out, cfg)
     return out, normalize_spectrogram(spec, cfg.norm_mean, cfg.norm_std)
 
 

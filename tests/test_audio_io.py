@@ -87,6 +87,13 @@ def test_spectrogram_header_layout(tmp_path):
     assert struct.unpack("<II", raw[:8]) == (3, 5)
     assert len(raw) == 8 + 4 * 3 * 5
 
+def test_float32_and_float64_bins_write_the_same_bytes(tmp_path, rng):
+    narrow = rng.standard_normal((16, 48)).astype(np.float32)
+    write_spectrogram(tmp_path / "narrow.spec", spec(narrow))
+    write_spectrogram(tmp_path / "wide.spec", spec(narrow.astype(np.float64)))
+    assert (tmp_path / "narrow.spec").read_bytes() == (tmp_path / "wide.spec").read_bytes()
+    assert np.array_equal(read_spectrogram(tmp_path / "narrow.spec"), narrow)
+
 def test_truncated_spectrogram_raises(tmp_path):
     path = tmp_path / "bad.spec"
     path.write_bytes(struct.pack("<II", 4, 4) + b"\x00" * 7)

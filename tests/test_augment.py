@@ -22,7 +22,14 @@ from lungmix.dataset import RecordManifest, align_records, load_manifest, resolv
 from lungmix.errors import InvalidConfig, ParseError
 from lungmix.labels import FOUR_CLASS
 from lungmix.mixing import STRATEGIES, MixRequest, lungmix_trace
-from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform, condition, featurize
+from lungmix.pipeline import (
+    PipelineConfig,
+    Spectrogram,
+    Waveform,
+    condition,
+    featurize,
+    padded_spectrogram,
+)
 from lungmix.rng import derive_rng
 from lungmix.synth import CorpusPlan, SynthSpec, make_corpus
 
@@ -311,21 +318,83 @@ def test_rolled_stored_masks_give_the_recomputed_bytes(
 
 
 @pytest.mark.parametrize(
-    ("seconds", "cached"), [(6.0, 598), (8.95, 893), (0.05, 3)], ids=["6s", "8.95s", "0.05s"]
+    ("samples", "window_ms", "hop_ms", "cached"),
+    [
+        (96000, 25.0, 10.0, 598),
+        (143200, 25.0, 10.0, 893),
+        (800, 25.0, 10.0, 3),
+        (320, 25.0, 10.0, 0),
+        (95840, 10.0, 25.0, 240),
+        (143999, 25.0, 10.0, 898),
+    ],
+    ids=["6s", "8.95s", "0.05s", "0.02s-no-whole-frame", "hop-past-the-end", "one-sample-short"],
 )
-def test_stored_padded_source_gives_featurize_bytes(tmp_path, seconds, cached):
-    """A padded patchmix source's cached columns plus a pair's noise give the
-    bytes `featurize` gives on the uncached waveform with that noise."""
+def test_stored_padded_source_gives_featurize_bytes(
+    tmp_path, samples, window_ms, hop_ms, cached
+):
+    """A padded patchmix source's head columns and kept samples, padded with
+    a pair's noise, give the float32 cast of the bytes `featurize` gives on
+    the whole conditioned record with that noise. With a 10 ms window and a
+    25 ms hop, the first frame after the head starts 160 samples past the
+    record's end; a record one sample short of the clip has no frame after
+    its head."""
     path = tmp_path / "short.wav"
-    rng = np.random.default_rng(3)
-    write_wav(path, Waveform(rng.normal(0, 0.1, int(round(seconds * 16000))), 16000))
+    write_wav(path, Waveform(np.random.default_rng(3).normal(0, 0.1, samples), 16000))
+    cfg = PipelineConfig(window_ms=window_ms, hop_ms=hop_ms)
+    source = augment._prepare(path, AugmentPlan(strategy="patchmix"), cfg)
+    assert source.audio.bins.shape == (cfg.mel_bins, cached)
+    assert source.length == samples
+    for seed in (1, 2):
+        stored = padded_spectrogram(
+            source.audio, source.rest, source.length, cfg, derive_rng(seed, "prep", "a")
+        )
+        whole = featurize(condition(read_wav(path), cfg), cfg, derive_rng(seed, "prep", "a"))[1]
+        assert stored.bins.dtype == np.float32
+        assert stored.bins.tobytes() == whole.bins.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("seconds", "head", "kept"),
+    [(3.0, 298, 320), (6.0, 598, 320), (12.0, None, None)],
+    ids=["padded-3s", "padded-6s", "unpadded"],
+)
+def test_prepared_patchmix_source_bytes(tmp_path, seconds, head, kept):
+    """A padded patchmix source holds 4 bytes per head bin and 8 per kept
+    sample, an unpadded one 4 bytes per bin of its clip, each in an array of
+    its own: no waveform or float64 spectrogram stays behind."""
+    path = tmp_path / "r.wav"
+    write_wav(path, Waveform(np.random.default_rng(4).normal(0, 0.1, int(seconds * 16000)), 16000))
     cfg = PipelineConfig()
     source = augment._prepare(path, AugmentPlan(strategy="patchmix"), cfg)
-    assert source.head.shape[1] == cached
-    for seed in (1, 2):
-        stored = featurize(source.audio, cfg, derive_rng(seed, "prep", "a"), source.head)[1]
-        whole = featurize(condition(read_wav(path), cfg), cfg, derive_rng(seed, "prep", "a"))[1]
-        assert stored.bins.tobytes() == whole.bins.tobytes()
+    arrays = [a for a in (source.audio.bins, source.loud, source.rest) if a is not None]
+    assert all(a.base is None for a in arrays)
+    expected = 4 * cfg.mel_bins * cfg.frames if head is None else 4 * cfg.mel_bins * head + 8 * kept
+    assert sum(a.nbytes for a in arrays) == expected
+
+
+def test_padded_patchmix_pair_peak_memory(tmp_path):
+    """One patchmix pair of a 3 s and a 6 s padded source allocates under
+    3 MB; building each side through float64 (mel_bins, frames) arrays
+    peaked at 4.48 MB."""
+    rng = np.random.default_rng(13)
+    pair, sources = [], []
+    plan, cfg = AugmentPlan(strategy="patchmix", interpolation="preserve"), PipelineConfig()
+    for name, seconds in (("crackle", 3), ("wheeze", 6)):
+        write_wav(tmp_path / f"{name}.wav", Waveform(rng.normal(0, 0.1, seconds * 16000), 16000))
+        sources.append(augment._prepare(tmp_path / f"{name}.wav", plan, cfg))
+        pair.append(RecordManifest(
+            record_id=name, audio_path=f"{name}.wav", dataset="synthetic", split="train",
+            label_raw=name, label_unified=name,
+        ))
+    augment._mix_one(3, tuple(pair), tuple(sources), plan, cfg)  # warm any caches
+    tracemalloc.start()
+    try:
+        result = augment._mix_one(3, tuple(pair), tuple(sources), plan, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
+    assert result.audio.bins.dtype == np.float32
 
 
 @pytest.mark.parametrize(
@@ -333,7 +402,7 @@ def test_stored_padded_source_gives_featurize_bytes(tmp_path, seconds, cached):
     [
         ("lungmix", 2.0, (Waveform, "loud")),
         ("mixup", 2.0, (Waveform,)),
-        ("patchmix", 1.0, (Waveform, "head")),
+        ("patchmix", 1.0, (Spectrogram, "rest")),
         ("patchmix", 2.0, (Spectrogram,)),
     ],
     ids=["lungmix", "mixup", "padded-patchmix", "unpadded-patchmix"],
@@ -347,8 +416,8 @@ def test_prepared_source_is_read_only(tmp_path, strategy, seconds, kept):
     source = augment._prepare(path, plan, cfg)
     audio_type, *reused = kept
     assert type(source.audio) is audio_type
-    assert [name for name in ("loud", "head") if getattr(source, name) is not None] == reused
-    arrays = [*vars(source.audio).values(), source.loud, source.head]
+    assert [name for name in ("loud", "rest") if getattr(source, name) is not None] == reused
+    arrays = [*vars(source.audio).values(), source.loud, source.rest]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     assert len(arrays) == len(kept)
     assert not any(a.flags.writeable for a in arrays)

@@ -410,6 +410,25 @@ class TestPatchmix:
         with pytest.raises(ShapeMismatch):
             mix(request(s_a, s_b, strategy="patchmix"))
 
+    def test_float32_patches_swap_in_float32(self):
+        """A float32 pair mixes to the float32 cast of its float64 mix."""
+        s_a, s_b = noise_spec(51), noise_spec(52)
+        wide = mix(request(s_a, s_b, strategy="patchmix", lam=0.4, seed=57)).audio
+        a32, b32 = (Spectrogram(s.bins.astype(np.float32)) for s in (s_a, s_b))
+        narrow = mix(request(a32, b32, strategy="patchmix", lam=0.4, seed=57)).audio
+        assert narrow.bins.dtype == np.float32
+        assert narrow.bins.tobytes() == wide.bins.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("narrow_side", ["a", "b"])
+    def test_mixed_dtypes_raise(self, narrow_side):
+        s_a, s_b = noise_spec(61), noise_spec(62)
+        if narrow_side == "a":
+            s_a = Spectrogram(s_a.bins.astype(np.float32))
+        else:
+            s_b = Spectrogram(s_b.bins.astype(np.float32))
+        with pytest.raises(InvalidConfig, match="dtypes differ"):
+            mix(request(s_a, s_b, strategy="patchmix"))
+
 
 class TestDispatch:
     def test_mix_routes_by_strategy(self):

@@ -1,6 +1,8 @@
 """Preprocessing contracts, checked against FFT and RMS oracles."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -170,6 +172,48 @@ class TestBandpass:
         assert len(solved) == 3
         assert np.array_equal(bandpass(Waveform(x, 16000), 50.0, 1500.0).samples, first.samples)
         assert not pipeline._bandpass_design(50.0, 1500.0, 16000)[1].flags.writeable
+
+
+@pytest.mark.parametrize(
+    ("builder", "uses", "args"),
+    [
+        ("_cached_filterbank", "mel_filterbank", (128, 512, 16000)),
+        ("_bandpass_design", "sosfilt_zi", (50.0, 1500.0, 16000)),
+        ("_resample_filter", "firwin", (160, 441)),
+        ("_hann", "np.hanning", (400,)),
+    ],
+)
+def test_threads_that_miss_together_build_once(monkeypatch, builder, uses, args):
+    """Two threads that ask a cleared design cache for one value while its
+    first build is slow run that build once, and get the same value."""
+    owner, name = (pipeline.np, "hanning") if uses == "np.hanning" else (pipeline, uses)
+    real, built = getattr(owner, name), []
+
+    def slow(*a, **k):
+        built.append(a)
+        time.sleep(0.05)
+        return real(*a, **k)
+
+    monkeypatch.setattr(owner, name, slow)
+    cache = getattr(pipeline, builder)
+    cache.cache_clear()
+    start, values = threading.Barrier(2), []
+
+    def ask():
+        start.wait()
+        values.append(cache(*args))
+
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        cache.cache_clear()
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 1
+    assert values[0] is values[1]
 
 
 class TestFitLength:
@@ -419,6 +463,29 @@ class TestNormalizeSpectrogram:
         s = self._spec(np.zeros((2, 2)))
         with pytest.raises(InvalidConfig):
             normalize_spectrogram(s, mean=0.0, std=0.0)
+
+    def test_float32_bins_are_normalised_in_float64(self, rng):
+        """float32 bins give the float64 result of their float64 values;
+        numpy 2 would subtract a Python float from float32 bins in float32."""
+        narrow = (rng.standard_normal((8, 32)) * 5).astype(np.float32)
+        out = normalize_spectrogram(self._spec(narrow), mean=-4.2677393, std=4.5689974)
+        wide = normalize_spectrogram(self._spec(narrow.astype(np.float64)), -4.2677393, 4.5689974)
+        assert out.bins.dtype == np.float64
+        assert out.bins.tobytes() == wide.bins.tobytes()
+
+
+class TestSpectrogramDtype:
+    def test_float32_bins_are_kept(self):
+        bins = np.zeros((2, 3), np.float32)
+        s = Spectrogram(bins)
+        assert s.bins.dtype == np.float32 and s.bins is bins
+
+    @pytest.mark.parametrize(
+        "bins", [np.zeros((2, 3), np.float16), np.zeros((2, 3), np.int32), [[0, 1], [2, 3]]],
+        ids=["float16", "int32", "list"],
+    )
+    def test_any_other_values_become_float64(self, bins):
+        assert Spectrogram(bins).bins.dtype == np.float64
 
 
 class TestFullPipeline:
