@@ -4,15 +4,16 @@ Each pair gets its own random stream derived from (master seed, pair index),
 so results are identical no matter how many workers run or in what order the
 pool schedules them. What is deterministic about a source record is prepared
 once per run by `_prepare`, into one read-only `_Source`: decode and resample;
-for lungmix, the loudness mask; for patchmix, bandpass and the log-mel columns
-that padding noise cannot touch, or only the normalised spectrogram when the
-record needs no padding. The exporting thread
-submits every job in pair order: a source's preparation before the first pair
+for lungmix, the loudness mask; for patchmix, bandpass, then the normalised
+log-mel columns that padding noise cannot touch, in float32, with the samples
+after them, or only the normalised float32 spectrogram when the record needs
+no padding. The exporting thread submits every job in pair order: a source's preparation before the first pair
 that uses it, then the pair's job with the futures of its two preparations.
 It forgets a preparation once its last pair is submitted, so the source is
 freed when that pair has been mixed. Only the seeded per-pair work runs per
 pair: for lungmix, the kernel's roll of a waveform and its stored mask; for a
-padded patchmix source, the noise and the mel frames it overlaps.
+padded patchmix source, the noise and the mel frames it overlaps, written with
+the stored columns into one float32 spectrogram.
 Results stream to the exporter in pair order, so memory does not grow with the
 pair count.
 """
