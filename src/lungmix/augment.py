@@ -4,16 +4,17 @@ Each pair gets its own random stream derived from (master seed, pair index),
 so results are identical no matter how many workers run or in what order the
 pool schedules them. What is deterministic about a source record is prepared
 once per run by `_prepare`, into one read-only `_Source`: decode and resample;
-for lungmix, the loudness mask; for patchmix, bandpass, then the normalised
-log-mel columns that padding noise cannot touch, in float32, with the samples
-after them, or only the normalised float32 spectrogram when the record needs
-no padding. The exporting thread submits every job in pair order: a source's preparation before the first pair
+for lungmix, the loudness mask; for patchmix, bandpass, then the record's
+`padding_split` at the clip: the normalised log-mel columns that padding noise
+cannot touch, in float32, with the samples after them. The exporting thread
+submits every job in pair order: a source's preparation before the first pair
 that uses it, then the pair's job with the futures of its two preparations.
 It forgets a preparation once its last pair is submitted, so the source is
 freed when that pair has been mixed. Only the seeded per-pair work runs per
-pair: for lungmix, the kernel's roll of a waveform and its stored mask; for a
-padded patchmix source, the noise and the mel frames it overlaps, written with
-the stored columns into one float32 spectrogram.
+pair: for lungmix, the kernel's roll of a waveform and its stored mask; for
+patchmix, `padded_spectrogram`'s noise and the mel frames it overlaps, written
+with the stored columns into one float32 spectrogram (no noise and no frame
+for a record that fills the clip).
 Results stream to the exporter in pair order, so memory does not grow with the
 pair count.
 """
@@ -38,8 +39,6 @@ from .pipeline import (
     Spectrogram,
     Waveform,
     condition,
-    featurize,
-    needs_padding,
     padded_spectrogram,
     padding_split,
     resample,
@@ -109,10 +108,11 @@ def _in_order(futures, ahead: int):
 class _Source:
     """A prepared record, shared read-only by every pair that uses it.
     `audio` is what a pair mixes (see `_prepare`), `loud` is lungmix's
-    `loudness_mask`, which the kernel rolls with the waveform. A padded
-    patchmix source holds in `audio` only its normalised float32 head
-    columns, which padding noise cannot touch, in `rest` its samples from
-    the first frame after them on, and in `length` its sample count."""
+    `loudness_mask`, which the kernel rolls with the waveform. A patchmix
+    source holds its `padding_split`: in `audio` only its normalised float32
+    head columns, which padding noise cannot touch, in `rest` its samples
+    from the first frame after them on, and in `length` its sample count,
+    each cut at the clip."""
 
     audio: Waveform | Spectrogram
     loud: np.ndarray | None = None
@@ -129,18 +129,14 @@ class _Source:
 def _prepare(path: Path, plan: AugmentPlan, pipeline_cfg: PipelineConfig) -> _Source:
     """A source's deterministic preparation: the waveform resampled to the
     pipeline's rate, with its loudness mask for lungmix. For patchmix, the
-    bandpassed record's `padding_split` when fitting its length draws padding
-    noise, so a pair computes only the frames that noise overlaps; otherwise
-    only the whole normalised spectrogram, as float32."""
+    bandpassed record's `padding_split`, so a pair computes only the frames
+    its padding noise overlaps."""
     audio = read_wav(path)
     if plan.strategy != "patchmix":
         audio = resample(audio, pipeline_cfg.target_rate)
         return _Source(audio, loud=loudness_mask(audio) if plan.strategy == "lungmix" else None)
-    audio = condition(audio, pipeline_cfg)
-    if needs_padding(audio, pipeline_cfg):
-        head, rest = padding_split(audio, pipeline_cfg)
-        return _Source(head, rest=rest, length=len(audio))
-    return _Source(Spectrogram(featurize(audio, pipeline_cfg)[1].bins.astype(np.float32)))
+    head, rest, length = padding_split(condition(audio, pipeline_cfg), pipeline_cfg)
+    return _Source(head, rest=rest, length=length)
 
 
 def _mix_one(
@@ -155,9 +151,9 @@ def _mix_one(
 
     lungmix = plan.strategy == "lungmix"
     if plan.strategy == "patchmix":
-        # a stored spectrogram needed no padding; otherwise pad with this pair's noise
+        # each side padded to the clip with this pair's noise
         audio_a, audio_b = (
-            s.audio if s.rest is None else padded_spectrogram(
+            padded_spectrogram(
                 s.audio, s.rest, s.length, pipeline_cfg, derive_rng(seed, "prep", side)
             )
             for s, side in zip(sources, "ab")

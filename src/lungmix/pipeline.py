@@ -305,55 +305,49 @@ def _log_mel(x: np.ndarray, cfg: PipelineConfig, start: int, stop: int) -> np.nd
     return np.log(mel, out=mel)
 
 
-def mel_spectrogram(
-    w: Waveform, cfg: PipelineConfig, head: np.ndarray | None = None
-) -> Spectrogram:
+def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
     """Log-mel spectrogram with exactly (cfg.mel_bins, cfg.frames) bins.
 
     Frames past the end of the signal are filled with log(POWER_FLOOR), the
     value a zero-energy frame produces, so padding is indistinguishable from
-    silence. `head`, from `mel_head` on the unpadded waveform, supplies the
-    leading columns as they are; only the frames after it are computed.
+    silence.
     """
     if w.sample_rate != cfg.target_rate:
         raise InvalidConfig(
             f"expected {cfg.target_rate} Hz input, got {w.sample_rate} Hz"
         )
     bins = np.full((cfg.mel_bins, cfg.frames), np.log(POWER_FLOOR))
-    start = 0
-    if head is not None:
-        start = head.shape[1]
-        bins[:, :start] = head
     stop = _frame_count(len(w), cfg)
-    bins[:, start:stop] = _log_mel(w.samples, cfg, start, stop)
+    bins[:, :stop] = _log_mel(w.samples, cfg, 0, stop)
     return Spectrogram(bins)
 
 
-def mel_head(w: Waveform, cfg: PipelineConfig) -> np.ndarray:
-    """The log-mel columns of `w` that padding it to the clip length cannot
-    change, for `mel_spectrogram`'s `head`: those of the frames wholly inside
-    `w`, none when `w` is shorter than one window. Each column depends on its
-    own frame alone, so a stitch has the bytes of the whole spectrogram."""
-    return _log_mel(w.samples, cfg, 0, _frame_count(len(w), cfg))
-
-
-def padding_split(w: Waveform, cfg: PipelineConfig) -> tuple[Spectrogram, np.ndarray]:
-    """What padding `w` to the clip cannot change, for `padded_spectrogram`:
-    its `mel_head` columns, normalised in float64 and held as float32, and a
-    copy of its samples from the first frame after them on, fewer than one
-    window (none when the head already fills every frame)."""
-    head = normalize_spectrogram(Spectrogram(mel_head(w, cfg)), cfg.norm_mean, cfg.norm_std)
-    start = head.bins.shape[1]
-    rest = w.samples[start * _framing(cfg)[1] :] if start < cfg.frames else w.samples[:0]
-    return Spectrogram(head.bins.astype(np.float32)), rest.copy()
+def padding_split(w: Waveform, cfg: PipelineConfig) -> tuple[Spectrogram, np.ndarray, int]:
+    """What `featurize` keeps of `w` whatever noise pads it, for
+    `padded_spectrogram`. Of the first `sample_count(clip_seconds, rate)`
+    samples of `w`: the log-mel columns of the frames wholly inside them,
+    normalised in float64 and held as float32 (none when they are shorter
+    than one window); a copy of them from the first frame after those
+    columns on, fewer than one window (none when the columns fill every
+    frame); and their count. Each column depends on its own frame alone, so
+    a stitch has the bytes of the whole spectrogram."""
+    if w.sample_rate != cfg.target_rate:
+        raise InvalidConfig(f"expected {cfg.target_rate} Hz input, got {w.sample_rate} Hz")
+    x = w.samples[: sample_count(cfg.clip_seconds, cfg.target_rate, "clip_seconds")]
+    start = _frame_count(x.size, cfg)
+    head = Spectrogram(_log_mel(x, cfg, 0, start))
+    head = normalize_spectrogram(head, cfg.norm_mean, cfg.norm_std)
+    rest = x[start * _framing(cfg)[1] :] if start < cfg.frames else x[:0]
+    return Spectrogram(head.bins.astype(np.float32)), rest.copy(), x.size
 
 
 def padded_spectrogram(
     head: Spectrogram, rest: np.ndarray, length: int, cfg: PipelineConfig, rng: np.random.Generator
 ) -> Spectrogram:
-    """`featurize`'s normalised spectrogram, as float32, of a record of
-    `length` samples that `padding_split` split into `head` and `rest`, padded
-    with `rng`'s noise: only the frames the noise overlaps are computed."""
+    """`featurize`'s normalised spectrogram, as float32, of a record that
+    `padding_split` split into `head`, `rest` and `length`, padded with
+    `rng`'s noise: only the frames the noise overlaps are computed, none when
+    the record fills the clip."""
     n = sample_count(cfg.clip_seconds, cfg.target_rate, "clip_seconds")
     start, stop = head.bins.shape[1], _frame_count(n, cfg)
     # `placed`'s draw; the first frame after the head begins `start * hop`
@@ -383,12 +377,6 @@ def normalize_spectrogram(s: Spectrogram, mean: float, std: float) -> Spectrogra
 def condition(w: Waveform, cfg: PipelineConfig) -> Waveform:
     """The deterministic head of `preprocess`: resample, then bandpass."""
     return bandpass(resample(w, cfg.target_rate), cfg.band_low, cfg.band_high)
-
-
-def needs_padding(w: Waveform, cfg: PipelineConfig) -> bool:
-    """Whether `featurize` pads `w` up to the clip length; noise padding is
-    the pipeline's only random draw."""
-    return len(w) < sample_count(cfg.clip_seconds, w.sample_rate, "clip_seconds")
 
 
 def featurize(

@@ -327,27 +327,30 @@ def test_rolled_stored_masks_give_the_recomputed_bytes(
         (95840, 10.0, 25.0, 1024, 240),
         (143999, 25.0, 10.0, 1024, 898),
         (96000, 25.0, 10.0, 64, 64),
+        (144000, 25.0, 10.0, 1024, 898),
+        (192000, 25.0, 10.0, 1024, 898),
     ],
     ids=[
         "6s", "8.95s", "0.05s", "0.02s-no-whole-frame", "hop-past-the-end", "one-sample-short",
-        "head-fills-every-frame",
+        "head-fills-every-frame", "exact-clip", "12s-cut",
     ],
 )
 def test_stored_padded_source_gives_featurize_bytes(
     tmp_path, samples, window_ms, hop_ms, frames, cached
 ):
-    """A padded patchmix source's head columns and kept samples, padded with
-    a pair's noise, give the float32 cast of the bytes `featurize` gives on
-    the whole conditioned record with that noise. With a 10 ms window and a
+    """A patchmix source's head columns and kept samples, padded with a
+    pair's noise, give the float32 cast of the bytes `featurize` gives on the
+    whole conditioned record with that noise. With a 10 ms window and a
     25 ms hop, the first frame after the head starts 160 samples past the
     record's end; a record one sample short of the clip has no frame after
-    its head, and neither has one whose head fills every frame."""
+    its head, and neither has one whose head fills every frame. A record
+    that fills the clip, or runs past it and is cut, draws no noise."""
     path = tmp_path / "short.wav"
     write_wav(path, Waveform(np.random.default_rng(3).normal(0, 0.1, samples), 16000))
     cfg = PipelineConfig(window_ms=window_ms, hop_ms=hop_ms, frames=frames)
     source = augment._prepare(path, AugmentPlan(strategy="patchmix"), cfg)
     assert source.audio.bins.shape == (cfg.mel_bins, cached)
-    assert source.length == samples
+    assert source.length == min(samples, 144000)
     for seed in (1, 2):
         stored = padded_spectrogram(
             source.audio, source.rest, source.length, cfg, derive_rng(seed, "prep", "a")
@@ -359,22 +362,21 @@ def test_stored_padded_source_gives_featurize_bytes(
 
 @pytest.mark.parametrize(
     ("seconds", "frames", "head", "kept"),
-    [(3.0, 1024, 298, 320), (6.0, 1024, 598, 320), (6.0, 64, 64, 0), (12.0, 1024, None, None)],
+    [(3.0, 1024, 298, 320), (6.0, 1024, 598, 320), (6.0, 64, 64, 0), (12.0, 1024, 898, 320)],
     ids=["padded-3s", "padded-6s", "head-fills-every-frame", "unpadded"],
 )
 def test_prepared_patchmix_source_bytes(tmp_path, seconds, frames, head, kept):
-    """A padded patchmix source holds 4 bytes per head bin and 8 per kept
-    sample (none once its head fills every frame), an unpadded one 4 bytes
-    per bin of its clip, each in an array of its own: no waveform or float64
+    """A patchmix source holds 4 bytes per head bin and 8 per kept sample
+    (none once its head fills every frame), a record past the clip only
+    those of its clip, each in an array of its own: no waveform or float64
     spectrogram stays behind."""
     path = tmp_path / "r.wav"
     write_wav(path, Waveform(np.random.default_rng(4).normal(0, 0.1, int(seconds * 16000)), 16000))
     cfg = PipelineConfig(frames=frames)
     source = augment._prepare(path, AugmentPlan(strategy="patchmix"), cfg)
-    arrays = [a for a in (source.audio.bins, source.rest) if a is not None]
+    arrays = (source.audio.bins, source.rest)
     assert all(a.base is None for a in arrays)
-    expected = 4 * cfg.mel_bins * cfg.frames if head is None else 4 * cfg.mel_bins * head + 8 * kept
-    assert sum(a.nbytes for a in arrays) == expected
+    assert sum(a.nbytes for a in arrays) == 4 * cfg.mel_bins * head + 8 * kept
 
 
 def test_padded_patchmix_pair_peak_memory(tmp_path):
@@ -408,7 +410,7 @@ def test_padded_patchmix_pair_peak_memory(tmp_path):
         ("lungmix", 2.0, (Waveform, "loud")),
         ("mixup", 2.0, (Waveform,)),
         ("patchmix", 1.0, (Spectrogram, "rest")),
-        ("patchmix", 2.0, (Spectrogram,)),
+        ("patchmix", 2.0, (Spectrogram, "rest")),
     ],
     ids=["lungmix", "mixup", "padded-patchmix", "unpadded-patchmix"],
 )

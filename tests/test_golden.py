@@ -22,9 +22,9 @@ from lungmix.pipeline import (
     PipelineConfig,
     Waveform,
     fit_length,
-    mel_head,
     mel_spectrogram,
     normalize_spectrogram,
+    padding_split,
 )
 from lungmix.rng import derive_rng
 from lungmix.synth import SynthSpec, synth
@@ -239,12 +239,15 @@ def test_float64_normalize_spectrogram_digest(record_9s):
 
 
 def test_float64_stitched_padded_mel_digest(record_9s):
+    """The float64 mel of a 6 s record padded to the clip, computed whole:
+    `padding_split` keeps its first 598 columns and `padded_spectrogram`
+    computes the rest, bit for bit the columns of this whole (see
+    `tests/test_pipeline.py::TestMelHead`)."""
     cfg = PipelineConfig()
     short = Waveform(record_9s.samples[: 6 * 16000], 16000)
-    head = mel_head(short, cfg)
-    assert head.shape[1] == 598
+    assert padding_split(short, cfg)[0].bins.shape[1] == 598
     padded = fit_length(short, cfg.clip_seconds, derive_rng(1, "prep", "a"))
-    bins = mel_spectrogram(padded, cfg, head).bins
+    bins = mel_spectrogram(padded, cfg).bins
     assert sha256(bins.tobytes()) == FLOAT64["stitched_padded_mel"]
 
 

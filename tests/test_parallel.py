@@ -98,14 +98,21 @@ def run_python(code: str, **env) -> subprocess.CompletedProcess:
 
 def kernel_digests(bins: tuple[int, ...] = (128, 64, 32)) -> list[str]:
     """sha256 of the float64 log-mel of an unfiltered seeded 9 s waveform, of
-    `mel_head` stitches onto it padded at several splits, and of `featurize`
-    output there, at each of `bins` mel bins. Self-contained, so a fresh
-    interpreter can run its source."""
+    `padded_spectrogram` stitches of its `padding_split` heads at several
+    splits, and of `featurize` output there, at each of `bins` mel bins.
+    Self-contained, so a fresh interpreter can run its source."""
     import hashlib
 
     import numpy as np
 
-    from lungmix.pipeline import PipelineConfig, Waveform, featurize, mel_head, mel_spectrogram
+    from lungmix.pipeline import (
+        PipelineConfig,
+        Waveform,
+        featurize,
+        mel_spectrogram,
+        padded_spectrogram,
+        padding_split,
+    )
 
     digests = []
     for mel_bins in bins:
@@ -114,9 +121,9 @@ def kernel_digests(bins: tuple[int, ...] = (128, 64, 32)) -> list[str]:
         stitched, featurized = hashlib.sha256(), hashlib.sha256()
         for k in (1, 9, 18, 37, 449, 861, 880, 889, 897):
             record = Waveform(clip.samples[: 160 * (k - 1) + 400], 16000)
-            padded, spec = featurize(record, cfg, np.random.default_rng(k))
-            stitched.update(mel_spectrogram(padded, cfg, mel_head(record, cfg)).bins.tobytes())
-            featurized.update(spec.bins.tobytes())
+            spec = padded_spectrogram(*padding_split(record, cfg), cfg, np.random.default_rng(k))
+            stitched.update(spec.bins.tobytes())
+            featurized.update(featurize(record, cfg, np.random.default_rng(k))[1].bins.tobytes())
         whole = hashlib.sha256(mel_spectrogram(clip, cfg).bins.tobytes())
         digests += [whole.hexdigest(), stitched.hexdigest(), featurized.hexdigest()]
     return digests

@@ -22,10 +22,10 @@ from lungmix.pipeline import (
     condition,
     featurize,
     fit_length,
-    mel_head,
     mel_spectrogram,
-    needs_padding,
     normalize_spectrogram,
+    padded_spectrogram,
+    padding_split,
     placed,
     preprocess,
     resample,
@@ -253,15 +253,11 @@ class TestFitLength:
         """A clip no array could hold is a config error, not an OverflowError."""
         with pytest.raises(InvalidConfig):
             fit_length(Waveform(np.zeros(10), 16000), 1e308, np.random.default_rng(0))
-        with pytest.raises(InvalidConfig):
-            needs_padding(Waveform(np.zeros(4), 10**308), PipelineConfig())
 
     def test_rate_too_large_for_a_float_is_a_config_error(self):
         """An int rate that no float holds is refused before `seconds * rate`
         would raise OverflowError."""
         wave = Waveform(np.zeros(4), 10**400)
-        with pytest.raises(InvalidConfig, match="clip_seconds spans more samples"):
-            needs_padding(wave, PipelineConfig())
         with pytest.raises(InvalidConfig, match="clip_seconds spans more samples"):
             fit_length(wave, 9.0, np.random.default_rng(0))
 
@@ -356,9 +352,11 @@ class TestMelSpectrogram:
         assert peak <= 3.5e6
 
     def test_wrong_rate_raises(self):
+        """So does `padding_split`, which frames at the config's rate too."""
         w = Waveform(np.zeros(8000), 8000)
-        with pytest.raises(InvalidConfig):
-            mel_spectrogram(w, self.CFG)
+        for featurized in (mel_spectrogram, padding_split):
+            with pytest.raises(InvalidConfig, match="expected 16000 Hz input, got 8000 Hz"):
+                featurized(w, self.CFG)
 
     def test_filterbank_built_once_per_setting(self, rng, monkeypatch):
         built = []
@@ -409,33 +407,35 @@ class TestMelSpectrogram:
 
 
 class TestMelHead:
-    """`mel_head` columns stitched to the frames after them, as `featurize`
-    does for a padded source, equal the spectrogram computed whole."""
+    """`padding_split`'s head columns stitched by `padded_spectrogram` to the
+    frames its noise overlaps equal the float32 cast of `featurize`'s
+    spectrogram, computed whole with the same noise."""
 
     @pytest.mark.parametrize("mel_bins", [128, 64, 32])
     def test_stitch_equals_whole_at_every_split_taken(self, rng, mel_bins):
         cfg = PipelineConfig(mel_bins=mel_bins, clip_seconds=3.0)
         win, hop = 400, 160
-        clip = Waveform(rng.standard_normal(48000) * 0.1, 16000)
-        whole = mel_spectrogram(clip, cfg).bins
-        n = (len(clip) - win) // hop + 1
-        # a record of k frames, padded by the rest of `clip`, at every k
+        clip = rng.standard_normal(48000) * 0.1
+        n = (clip.size - win) // hop + 1
+        # a record of k frames, padded with noise to the clip, at every k
         for k in range(n + 1):
-            record = Waveform(clip.samples[: max(hop * (k - 1) + win, win - 1)], 16000)
-            head = mel_head(record, cfg)
-            assert head.shape == (mel_bins, k)
-            assert np.array_equal(mel_spectrogram(clip, cfg, head).bins, whole)
+            record = Waveform(clip[: max(hop * (k - 1) + win, win - 1)], 16000)
+            head, rest, length = padding_split(record, cfg)
+            assert head.bins.shape == (mel_bins, k)
+            stitched = padded_spectrogram(head, rest, length, cfg, np.random.default_rng(k))
+            whole = featurize(record, cfg, np.random.default_rng(k))[1]
+            assert stitched.bins.tobytes() == whole.bins.astype(np.float32).tobytes()
 
     def test_no_head_when_the_clip_has_too_few_frames(self, rng):
         """A record shorter than one window has a head of no columns."""
-        head = mel_head(Waveform(rng.standard_normal(399) * 0.1, 16000), PipelineConfig())
-        assert head.shape == (128, 0)
+        head = padding_split(Waveform(rng.standard_normal(399) * 0.1, 16000), PipelineConfig())[0]
+        assert head.bins.shape == (128, 0)
 
     def test_head_keeps_no_whole_spectrogram_alive(self, rng):
         """A prepared source holds its head for a run: its memory is the
         head's own, not that of a (mel_bins, frames) array it was cut from."""
         cfg = PipelineConfig()
-        head = mel_head(Waveform(rng.standard_normal(6 * 16000) * 0.1, 16000), cfg)
+        head = padding_split(Waveform(rng.standard_normal(6 * 16000) * 0.1, 16000), cfg)[0].bins
         assert head.shape == (cfg.mel_bins, 598)
         assert (head if head.base is None else head.base).nbytes == head.nbytes
 
