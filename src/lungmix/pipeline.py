@@ -324,7 +324,7 @@ def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
 
 def padding_split(w: Waveform, cfg: PipelineConfig) -> tuple[Spectrogram, np.ndarray, int]:
     """What `featurize` keeps of `w` whatever noise pads it, for
-    `padded_spectrogram`. Of the first `sample_count(clip_seconds, rate)`
+    `padded_spectrogram`. Of the first `sample_count(clip_seconds, target_rate)`
     samples of `w`: the log-mel columns of the frames wholly inside them,
     normalised in float64 and held as float32 (none when they are shorter
     than one window); a copy of them from the first frame after those
