@@ -8,7 +8,6 @@ and raw names outside those rules must be added by the operator.
 
 import json
 import logging
-import math
 import os
 import re
 import shutil
@@ -22,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from .audio_io import write_spectrogram, write_wav
-from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel, check_fields, fits
+from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel, check_fields
 from .labels import FOUR_CLASS
 from .pipeline import Spectrogram, Waveform
 
@@ -36,21 +35,6 @@ PAIRINGS = ("uniform", "cross-class")
 MAX_SKIP_RATE = 0.05
 SNAPSHOT = "config_snapshot.json"  # a run's resolved config; every stage owns it
 AUGMENT_FILES = re.compile(r"augmented\.jsonl|aug-\d{5,}\.(wav|spec)")  # what export_augmented writes
-
-
-def _is_seconds(t) -> bool:
-    """Whether `t` is a finite number of seconds: a real number, not a bool."""
-    # an int of any size is finite, but too large for math.isfinite
-    return fits(float, t) and (isinstance(t, int) or math.isfinite(t))
-
-
-def _is_event(event) -> bool:
-    """Whether `event` is (start, end, label): finite seconds with
-    0 <= start <= end, and a string label."""
-    if not isinstance(event, (tuple, list)) or len(event) != 3:
-        return False
-    start, end, label = event
-    return _is_seconds(start) and _is_seconds(end) and isinstance(label, str) and 0 <= start <= end
 
 
 @dataclass
@@ -71,19 +55,10 @@ class RecordManifest:
 
     def __post_init__(self):
         check_fields(self)
-        if self.segment is not None:
-            if len(self.segment) != 2 or not all(map(_is_seconds, self.segment)):
-                raise InvalidConfig(
-                    f"segment must be [start, end] in finite seconds, got {list(self.segment)}"
-                )
-            start, end = self.segment
-            if not (0 <= start < end):
-                raise InvalidConfig(f"segment times must satisfy 0 <= start < end, got {self.segment}")
-        if self.events is not None and not all(map(_is_event, self.events)):
-            raise InvalidConfig(
-                f"events must be a list of [start, end, label] with finite "
-                f"0 <= start <= end and a string label, got {self.events!r}"
-            )
+        if self.segment is not None and not (0 <= self.segment[0] < self.segment[1]):
+            raise InvalidConfig(f"segment times must satisfy 0 <= start < end, got {self.segment}")
+        if self.events is not None and not all(0 <= start <= end for start, end, _ in self.events):
+            raise InvalidConfig(f"events must satisfy 0 <= start <= end, got {self.events!r}")
 
     def to_dict(self) -> dict:
         out = {k: v for k, v in asdict(self).items() if v is not None and k != "extras"}

@@ -66,9 +66,7 @@ class MixRequest:
             raise InvalidConfig(f"strategy {self.strategy!r} takes no loudness masks or roll")
         if self.loudness is not None:
             masks = self.loudness
-            if len(masks) != 2 or not all(
-                isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 1 for m in masks
-            ):
+            if not all(m.dtype == bool and m.ndim == 1 for m in masks):
                 raise InvalidConfig("loudness must be two 1-D bool arrays, one per source")
             if [m.size for m in masks] != [len(self.audio_a), len(self.audio_b)]:
                 raise ShapeMismatch("loudness masks must match their sources' lengths")
@@ -149,11 +147,7 @@ def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
             f"lengths differ: a={len(a)}, b={len(b)}, mask={len(mask)}"
         )
     m = mask.values
-    out = m * a.samples
-    rest = 1.0 - m
-    rest *= b.samples
-    out += rest
-    return Waveform(out, a.sample_rate)
+    return Waveform(m * a.samples + (1.0 - m) * b.samples, a.sample_rate)
 
 
 def _pad_pair(

@@ -350,10 +350,10 @@ def padded_spectrogram(
     the record fills the clip."""
     n = sample_count(cfg.clip_seconds, cfg.target_rate, "clip_seconds")
     start, stop = head.bins.shape[1], _frame_count(n, cfg)
-    # `placed`'s draw; the first frame after the head begins `start * hop`
-    # samples into the clip, past the record's end when the hop exceeds the window
+    # the first frame after the head begins `start * hop` samples into the
+    # clip, past the record's end when the hop exceeds the window
     skip = max(start * _framing(cfg)[1] - length, 0)
-    x = np.concatenate((rest, rng.uniform(-PAD_EPS, PAD_EPS, n - length)[skip:]))
+    x = placed(rest, rest.size + n - length, rng)[skip:]
     mel = _log_mel(x, cfg, 0, stop - start)
     # `normalize_spectrogram`'s float64 arithmetic, in place
     mel -= cfg.norm_mean

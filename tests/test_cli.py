@@ -675,6 +675,10 @@ FAULTS = [
         id="manifest-bool-segment",
     ),
     pytest.param(
+        manifest_line(lambda rec: {**rec, "segment": [0, 10**400]}), (3, True, False),
+        id="manifest-segment-int-too-large-for-a-float",
+    ),
+    pytest.param(
         manifest_line(lambda rec: {**rec, "label_raw": 5}), (3, True, False),
         id="manifest-number-label-raw",
     ),

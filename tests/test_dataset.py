@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def is_event(event) -> bool:
     if not isinstance(event, list) or len(event) != 3:
         return False
     start, end, label = event
-    numbers = all(type(t) in (int, float) and abs(t) != float("inf") and t == t for t in (start, end))
+    numbers = all(type(t) in (int, float) and abs(t) <= sys.float_info.max for t in (start, end))
     return numbers and isinstance(label, str) and 0 <= start <= end
 
 
@@ -349,9 +350,27 @@ class TestRecordValidation:
 
     @pytest.mark.parametrize(
         "segment",
-        [(0, float("inf")), (float("nan"), 1.0), (True, 2), (0, False), ("a", "b"), (0, None)],
-        ids=["infinite-end", "nan-start", "bool-start", "bool-end", "strings", "none-end"],
+        [(0, float("inf")), (float("nan"), 1.0), (True, 2), (0, False), ("a", "b"), (0, None),
+         (0, 10**400)],
+        ids=["infinite-end", "nan-start", "bool-start", "bool-end", "strings", "none-end",
+             "int-too-large-end"],
     )
     def test_segment_bounds_are_finite_seconds(self, segment):
         with pytest.raises(InvalidConfig, match="segment"):
             RecordManifest("r", "x.wav", "icbhi", "train", "normal", segment=segment)
+
+    @pytest.mark.parametrize(
+        "events",
+        [[(0.1, 10**400, "crackle")], [[0.1, 0.2, "crackle"]]],
+        ids=["int-too-large-end", "list-item"],
+    )
+    def test_events_are_tuples_of_finite_seconds(self, events):
+        with pytest.raises(InvalidConfig, match="events"):
+            RecordManifest("r", "x.wav", "icbhi", "train", "normal", events=events)
+
+    def test_list_events_load_as_tuples(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({**record(0).to_dict(), "events": [[0.1, 0.2, "crackle"]]}) + "\n")
+        (tmp_path / "x.wav").write_bytes(b"RIFF")
+        [rec] = load_manifest(path)
+        assert rec.events == [(0.1, 0.2, "crackle")]
