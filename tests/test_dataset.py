@@ -367,10 +367,3 @@ class TestRecordValidation:
     def test_events_are_tuples_of_finite_seconds(self, events):
         with pytest.raises(InvalidConfig, match="events"):
             RecordManifest("r", "x.wav", "icbhi", "train", "normal", events=events)
-
-    def test_list_events_load_as_tuples(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps({**record(0).to_dict(), "events": [[0.1, 0.2, "crackle"]]}) + "\n")
-        (tmp_path / "x.wav").write_bytes(b"RIFF")
-        [rec] = load_manifest(path)
-        assert rec.events == [(0.1, 0.2, "crackle")]

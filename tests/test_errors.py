@@ -1,8 +1,6 @@
 """`errors.fits`: the one check of a field's type and finiteness, at every
 depth of the annotations the dataclasses use."""
 
-from typing import Literal
-
 import numpy as np
 import pytest
 
@@ -16,13 +14,7 @@ EVENTS = list[tuple[float, float, str]]
 @pytest.mark.parametrize(
     ("annotation", "value", "expected"),
     [
-        pytest.param(float, 1, True, id="int-for-float"),
-        pytest.param(float, True, False, id="bool-for-float"),
         pytest.param(float, HUGE, False, id="huge-int-for-float"),
-        pytest.param(int, np.int64(3), True, id="numpy-int"),
-        pytest.param(int, 2.0, False, id="float-for-int"),
-        pytest.param(Literal[("a", "b")], "b", True, id="literal-member"),
-        pytest.param(Literal[("a", "b")], "c", False, id="literal-outsider"),
         pytest.param(tuple[float, float], (0.0, 1), True, id="pair"),
         pytest.param(tuple[float, float], (0.0,), False, id="pair-of-one"),
         pytest.param(tuple[float, float], (0.0, 1.0, 2.0), False, id="pair-of-three"),
@@ -30,18 +22,13 @@ EVENTS = list[tuple[float, float, str]]
         pytest.param(tuple[float, float], (0.0, float("nan")), False, id="pair-with-nan"),
         pytest.param(tuple[float, float], (0.0, HUGE), False, id="pair-with-huge-int"),
         pytest.param(tuple[float, float], (0.0, False), False, id="pair-with-bool"),
-        pytest.param(tuple[float, float, str], (0.0, 1.0, 2.0), False, id="number-for-str"),
-        pytest.param(list[float], [], True, id="empty-list"),
         pytest.param(list[float], [0.5, 2], True, id="list"),
         pytest.param(list[float], [0.5, "x"], False, id="list-with-str"),
-        pytest.param(list[float], (0.5,), False, id="list-as-tuple"),
         pytest.param(EVENTS, [(0.1, 0.2, "crackle")], True, id="events"),
         pytest.param(EVENTS, [[0.1, 0.2, "crackle"]], False, id="events-with-list-item"),
         pytest.param(EVENTS, [(0.1, float("inf"), "crackle")], False, id="events-with-inf"),
         pytest.param(tuple[float, float] | None, None, True, id="none-for-optional"),
-        pytest.param(tuple[float, float] | None, (0.0, 1.0), True, id="pair-for-optional"),
         pytest.param(tuple[float, float], None, False, id="none-for-required"),
-        pytest.param(float | None, None, True, id="none-for-optional-float"),
         pytest.param(float | None, float("-inf"), False, id="inf-for-optional-float"),
         pytest.param(MASKS, (np.zeros(2), np.zeros(2)), True, id="two-arrays"),
         pytest.param(MASKS, (np.zeros(2),), False, id="one-array"),
