@@ -25,6 +25,8 @@ def read_wav(path) -> Waveform:
         raise
     except Exception as exc:  # a malformed header can raise anything from inside scipy
         raise ParseError(f"cannot read WAV {path}: {exc!r}") from exc
+    if rate <= 0:
+        raise ParseError(f"WAV header of {path} gives a sample rate of {rate} Hz")
     if data.ndim != 1:
         raise ParseError(f"expected mono WAV, got {data.ndim} channels: {path}")
     if data.size == 0:

@@ -20,7 +20,7 @@ from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_
 from .augment import AugmentPlan, augment_corpus
 from .dataset import AUGMENT_FILES, PAIRINGS, SNAPSHOT, align_records, load_label_maps, load_manifest
 from .dataset import read_json, read_jsonl, staged
-from .errors import InvalidConfig, LungmixError, fits
+from .errors import InvalidConfig, LungmixError, check_value
 from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
 from .metrics import score
@@ -60,8 +60,7 @@ def _configure(args, **classes) -> tuple[int, dict]:
     if config.get("command", args.command) != args.command:
         raise InvalidConfig(f"config is for command {config['command']!r}, not {args.command!r}")
     seed = config.get("master_seed", 0) if args.master_seed is None else args.master_seed
-    if not fits(int, seed):
-        raise InvalidConfig(f"master_seed must be an integer, got {seed!r}")
+    check_value("master_seed", int, seed)
     return seed, {name: _section(config, name, cls, args) for name, cls in classes.items()}
 
 

@@ -27,30 +27,27 @@ _NUMBERS = {int: (int, Integral), float: (float, Real)}
 
 
 @lru_cache(maxsize=None)
-def _kinds(annotation) -> tuple[tuple[type, ...], tuple, tuple]:
-    """The types a field annotated `annotation` takes, its `Literal` arm's
+def _kinds(annotation) -> tuple[tuple[type, ...], tuple[type, ...], tuple, tuple]:
+    """The types a field annotated `annotation` takes through its `int` and
+    `float` arms and through its other plain arms, its `Literal` arm's
     values, and its `tuple[...]` and `list[...]` arms as (origin, item
     annotations)."""
     arms = get_args(annotation) if get_origin(annotation) in (Union, UnionType) else (annotation,)
     values = tuple(v for arm in arms if get_origin(arm) is Literal for v in get_args(arm))
     shaped = tuple((get_origin(arm), get_args(arm)) for arm in arms if get_origin(arm) in (tuple, list))
-    plain = (arm for arm in arms if get_origin(arm) not in (Literal, tuple, list))
-    kinds = (_NUMBERS.get(arm, (get_origin(arm) or arm,)) for arm in plain)
-    return sum(kinds, ()), values, shaped
+    plain = [get_origin(arm) or arm for arm in arms if get_origin(arm) not in (Literal, tuple, list)]
+    numbers = sum((_NUMBERS[arm] for arm in plain if arm in _NUMBERS), ())
+    return numbers, tuple(arm for arm in plain if arm not in _NUMBERS), values, shaped
 
 
-def _finite(value) -> bool:
-    """Whether `value` is not a number, or is one that is finite as a float
-    (not NaN, not infinite, not an int too large for a float)."""
-    return not isinstance(value, (float, int, Real)) or abs(value) <= sys.float_info.max
-
-
-def _typed(annotation, value) -> bool:
-    kinds, values, shaped = _kinds(annotation)
-    if isinstance(value, str) and value in values:
+def _typed(annotation, value) -> bool | None:
+    """`fits`, but None for a number of an `int` or `float` arm that is not
+    finite as a float (NaN, infinite, or an int too large for a float)."""
+    numbers, others, values, shaped = _kinds(annotation)
+    if isinstance(value, others) or (isinstance(value, str) and value in values):
         return True
-    if isinstance(value, kinds):
-        return bool in kinds or not isinstance(value, bool)
+    if isinstance(value, numbers) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max or None
     for origin, items in shaped:
         if isinstance(value, origin):
             items = items if origin is tuple else items * len(value)
@@ -66,7 +63,19 @@ def fits(annotation, value) -> bool:
     a `Literal[...]` field takes a `str` among its values, `tuple[X, Y]` takes
     a tuple of one item fitting each, `list[X]` a list of items fitting `X`,
     and `X | None` also takes None."""
-    return _typed(annotation, value) and _finite(value)
+    return _typed(annotation, value) is True
+
+
+def check_value(name: str, annotation, value) -> None:
+    """Raise `InvalidConfig` when `value` does not `fit` `annotation`: `name`
+    "must be finite" for a number of the right type, else "must be <type>"."""
+    typed = _typed(annotation, value)
+    if typed is None:
+        raise InvalidConfig(f"{name} must be finite, got {value}")
+    if not typed:
+        values = _kinds(annotation)[2]
+        kind = f"one of {values}" if values else getattr(annotation, "__name__", annotation)
+        raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -76,16 +85,9 @@ def _annotations(cls) -> tuple[tuple[str, object], ...]:
 
 
 def check_fields(config) -> None:
-    """Raise `InvalidConfig` for the first field of the dataclass `config`
-    whose value does not `fit` its annotation."""
+    """`check_value` on each field of the dataclass `config`, in order."""
     for name, annotation in _annotations(type(config)):
-        value = getattr(config, name)
-        if not _typed(annotation, value):
-            values = _kinds(annotation)[1]
-            kind = f"one of {values}" if values else getattr(annotation, "__name__", annotation)
-            raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
-        if not _finite(value):
-            raise InvalidConfig(f"{name} must be finite, got {value}")
+        check_value(name, annotation, getattr(config, name))
 
 
 class EmptyAudio(LungmixError):

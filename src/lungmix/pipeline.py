@@ -252,14 +252,6 @@ def _cached_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> csr_array:
 FFT_BLOCK_ROWS = 64
 
 
-@_built_once
-def _hann(win: int) -> np.ndarray:
-    """`np.hanning(win)`, built once per width."""
-    window = np.hanning(win)
-    window.flags.writeable = False
-    return window
-
-
 def _framing(cfg: PipelineConfig) -> tuple[int, int, int]:
     """Window, hop and FFT length in samples at `cfg.target_rate`."""
     win = sample_count(cfg.window_ms / 1000.0, cfg.target_rate, "window_ms")
@@ -276,13 +268,13 @@ def _frame_count(n_samples: int, cfg: PipelineConfig) -> int:
     return 0 if n_samples < win else min((n_samples - win) // hop + 1, cfg.frames)
 
 
-def _log_mel(x: np.ndarray, cfg: PipelineConfig, start: int, stop: int) -> np.ndarray:
-    """Log-mel columns of frames [start, stop) of `x`, (cfg.mel_bins, stop - start)."""
-    if stop <= start:
+def _log_mel(x: np.ndarray, cfg: PipelineConfig, count: int) -> np.ndarray:
+    """Log-mel columns of the first `count` frames of `x`, (cfg.mel_bins, count)."""
+    if count <= 0:
         return np.empty((cfg.mel_bins, 0))
     win, hop, n_fft = _framing(cfg)
-    frames = sliding_window_view(x, win)[hop * start : hop * (stop - 1) + 1 : hop]
-    window = _hann(win)
+    frames = sliding_window_view(x, win)[: hop * (count - 1) + 1 : hop]
+    window = np.hanning(win)
     fb = _cached_filterbank(cfg.mel_bins, n_fft, cfg.target_rate)
     # a block of frames is windowed into the head of zero-padded FFT rows,
     # transformed, and reduced to its mel bands while its power is still in
@@ -318,7 +310,7 @@ def mel_spectrogram(w: Waveform, cfg: PipelineConfig) -> Spectrogram:
         )
     bins = np.full((cfg.mel_bins, cfg.frames), np.log(POWER_FLOOR))
     stop = _frame_count(len(w), cfg)
-    bins[:, :stop] = _log_mel(w.samples, cfg, 0, stop)
+    bins[:, :stop] = _log_mel(w.samples, cfg, stop)
     return Spectrogram(bins)
 
 
@@ -335,10 +327,11 @@ def padding_split(w: Waveform, cfg: PipelineConfig) -> tuple[Spectrogram, np.nda
         raise InvalidConfig(f"expected {cfg.target_rate} Hz input, got {w.sample_rate} Hz")
     x = w.samples[: sample_count(cfg.clip_seconds, cfg.target_rate, "clip_seconds")]
     start = _frame_count(x.size, cfg)
-    head = Spectrogram(_log_mel(x, cfg, 0, start))
-    head = normalize_spectrogram(head, cfg.norm_mean, cfg.norm_std)
+    head = _log_mel(x, cfg, start)
+    head -= cfg.norm_mean
+    head /= cfg.norm_std
     rest = x[start * _framing(cfg)[1] :] if start < cfg.frames else x[:0]
-    return Spectrogram(head.bins.astype(np.float32)), rest.copy(), x.size
+    return Spectrogram(head.astype(np.float32)), rest.copy(), x.size
 
 
 def padded_spectrogram(
@@ -354,7 +347,7 @@ def padded_spectrogram(
     # clip, past the record's end when the hop exceeds the window
     skip = max(start * _framing(cfg)[1] - length, 0)
     x = placed(rest, rest.size + n - length, rng)[skip:]
-    mel = _log_mel(x, cfg, 0, stop - start)
+    mel = _log_mel(x, cfg, stop - start)
     # `normalize_spectrogram`'s float64 arithmetic, in place
     mel -= cfg.norm_mean
     mel /= cfg.norm_std

@@ -67,6 +67,18 @@ def test_rejects_unsupported_sample_format_as_data(tmp_path):
         read_wav(tmp_path / "d.wav")
     assert exc.value.category == "data"
 
+def test_zero_rate_header_is_a_parse_error_naming_the_file(tmp_path):
+    """A header whose sample-rate and byte-rate fields are zeroed reads as
+    0 Hz: a malformed WAV, not a config fault."""
+    path = tmp_path / "z.wav"
+    wavfile.write(path, 8000, np.zeros(100, dtype=np.int16))
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = bytes(8)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="0 Hz") as exc:
+        read_wav(path)
+    assert str(path) in str(exc.value)
+
 def test_missing_wav_raises(tmp_path):
     with pytest.raises(MissingAudio):
         read_wav(tmp_path / "absent.wav")

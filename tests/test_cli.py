@@ -449,6 +449,15 @@ def huge_fmt_chunk(broken):
     return "cannot read WAV"
 
 
+def zero_rate(broken):
+    """One WAV's sample-rate and byte-rate header fields are zeroed."""
+    wav = sorted(broken.glob("*.wav"))[0]
+    raw = bytearray(wav.read_bytes())
+    raw[24:32] = bytes(8)
+    wav.write_bytes(bytes(raw))
+    return str(wav)
+
+
 def foreign_file_in_out(command, *flags):
     """A `command` run whose --out holds a file it does not write: gives the
     exit code and what --out holds afterwards."""
@@ -695,6 +704,7 @@ FAULTS = [
         id="manifest-string-soft-target",
     ),
     pytest.param(broken_copy(huge_fmt_chunk), (3, True, False), id="wav-huge-fmt-chunk"),
+    pytest.param(broken_copy(zero_rate), (3, True, False), id="wav-zero-rate"),
     pytest.param(config_error("--per-class", "0", command="synth"), (2, False), id="synth-zero-per-class"),
     pytest.param(config_error("--duration", "0", command="synth"), (2, False), id="synth-zero-duration"),
     pytest.param(config_error("--duration", "nan", command="synth"), (2, False), id="synth-nan-duration"),
@@ -837,6 +847,14 @@ def test_config_seed_and_flag_seed_agree(corpus, tmp_path):
     assert run_command("augment", corpus, from_config, "--pairs", "3", config={"master_seed": 5}) == 0
     assert run_command("augment", corpus, from_flag, "--pairs", "3", "--seed", "5") == 0
     assert files(from_config) == files(from_flag)
+
+
+def test_seed_too_large_for_a_float_is_refused_as_not_finite(corpus, tmp_path):
+    out, err = tmp_path / "o", io.StringIO()
+    with redirect_stderr(err):
+        rc = run_command("synth", corpus, out, "--seed", str(10**400))
+    assert (rc, out.exists()) == (2, False)
+    assert f"master_seed must be finite, got {10**400}" in err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -180,21 +180,19 @@ class TestBandpass:
         ("_cached_filterbank", "mel_filterbank", (128, 512, 16000)),
         ("_bandpass_design", "sosfilt_zi", (50.0, 1500.0, 16000)),
         ("_resample_filter", "firwin", (160, 441)),
-        ("_hann", "np.hanning", (400,)),
     ],
 )
 def test_threads_that_miss_together_build_once(monkeypatch, builder, uses, args):
     """Two threads that ask a cleared design cache for one value while its
     first build is slow run that build once, and get the same value."""
-    owner, name = (pipeline.np, "hanning") if uses == "np.hanning" else (pipeline, uses)
-    real, built = getattr(owner, name), []
+    real, built = getattr(pipeline, uses), []
 
     def slow(*a, **k):
         built.append(a)
         time.sleep(0.05)
         return real(*a, **k)
 
-    monkeypatch.setattr(owner, name, slow)
+    monkeypatch.setattr(pipeline, uses, slow)
     cache = getattr(pipeline, builder)
     cache.cache_clear()
     start, values = threading.Barrier(2), []
@@ -403,7 +401,7 @@ class TestMelSpectrogram:
             for k in np.flatnonzero(fb[m]):
                 mel[m] += fb[m, k] * power[:, k]
         expected = np.log(np.maximum(mel, pipeline.POWER_FLOOR))
-        assert np.array_equal(pipeline._log_mel(x, cfg, start, stop), expected)
+        assert np.array_equal(pipeline._log_mel(x[start * hop :], cfg, stop - start), expected)
 
 
 class TestMelHead:
