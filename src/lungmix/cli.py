@@ -20,7 +20,7 @@ from .audio_io import read_wav, write_spectrogram, write_spectrogram_csv, write_
 from .augment import AugmentPlan, augment_corpus
 from .dataset import AUGMENT_FILES, PAIRINGS, SNAPSHOT, align_records, load_label_maps, load_manifest
 from .dataset import read_json, read_jsonl, staged
-from .errors import InvalidConfig, LungmixError, check_value
+from .errors import InvalidConfig, LungmixError, ParseError, check_value
 from .labels import FOUR_CLASS, MODES
 from .masks import SEMANTICS, MixParams
 from .metrics import score
@@ -139,18 +139,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _prediction(row) -> tuple[str, str]:
+    """The (true, predicted) classes of one predictions row."""
+    pair = (row["true"], row["predicted"])
+    if not set(pair) <= set(FOUR_CLASS.categories()):
+        raise ParseError(f"unknown class in {pair}")
+    return pair
+
+
 def cmd_eval(args) -> int:
-    pairs = []
-    path = Path(args.predictions)
-    for lineno, row in read_jsonl(path):
-        try:
-            pair = (row["true"], row["predicted"])
-            if not set(pair) <= set(FOUR_CLASS.categories()):
-                raise ValueError(f"unknown class in {pair}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LungmixError(f"{path}:{lineno}: bad prediction row: {exc}") from exc
-        pairs.append(pair)
-    report = score(pairs)
+    report = score([pair for _, pair in read_jsonl(args.predictions, _prediction)])
     print(report.format_table())
     if args.out:
         with open(args.out, "w") as fh:

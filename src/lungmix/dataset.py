@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from .audio_io import write_spectrogram, write_wav
-from .errors import InvalidConfig, MissingAudio, ParseError, UnknownLabel, check_fields
+from .errors import InvalidConfig, LungmixError, MissingAudio, ParseError, UnknownLabel, check_fields
 from .labels import FOUR_CLASS
 from .pipeline import Spectrogram, Waveform
 
@@ -83,8 +83,8 @@ class RecordManifest:
 
 
 def default_label_maps() -> dict[str, dict[str, str]]:
-    text = resources.files("lungmix.data").joinpath("label_maps.json").read_text()
-    return load_label_maps_data(json.loads(text))
+    with resources.as_file(resources.files("lungmix.data") / "label_maps.json") as shipped:
+        return load_label_maps(shipped)
 
 
 def load_label_maps(path) -> dict[str, dict[str, str]]:
@@ -160,11 +160,7 @@ def load_manifest(path) -> list[RecordManifest]:
     if not path.exists():
         raise MissingAudio(f"manifest not found: {path}")
     records: list[RecordManifest] = []
-    for lineno, data in read_jsonl(path):
-        try:
-            rec = RecordManifest.from_dict(data)
-        except (ParseError, InvalidConfig, TypeError) as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, rec in read_jsonl(path, RecordManifest.from_dict):
         # an empty path resolves to the manifest's own directory, which exists
         if not rec.audio_path or not resolve_audio_path(rec, path).exists():
             raise MissingAudio(f"{path}:{lineno}: audio file not found: {rec.audio_path!r}")
@@ -173,37 +169,41 @@ def load_manifest(path) -> list[RecordManifest]:
 
 
 def read_json(path, what: str) -> dict:
-    """The JSON object a UTF-8 file holds. A file that cannot be read, is not
-    UTF-8 JSON or holds no object is an InvalidConfig naming it as `what`:
-    such a file configures a run, it is not data the run processes."""
+    """The JSON object a UTF-8 file holds. A file that cannot be read or
+    decoded (`_decoded`) or holds no object is an InvalidConfig naming it as
+    `what`: such a file configures a run, it is not data the run processes."""
     try:
-        data = json.loads(Path(path).read_bytes().decode("utf-8"))
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
-        raise InvalidConfig(f"{what} {path} is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"{what} {path} must hold a JSON object")
-    return data
+    for data in _decoded(raw, f"{what} {path}", InvalidConfig):
+        if isinstance(data, dict):
+            return data
+    raise InvalidConfig(f"{what} {path} must hold a JSON object")
 
 
-def read_jsonl(path):
-    """(line number, value) of each non-blank line of a UTF-8 JSONL file, read
-    as it is consumed. A line that is not UTF-8 or not JSON is a ParseError
-    naming it."""
+def read_jsonl(path, build):
+    """(line number, `build(value)`) for each line of a UTF-8 JSONL file that
+    holds more than whitespace, read as it is consumed. A line that `_decoded`
+    or `build` refuses is one ParseError naming it."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, or nested too deep
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            yield lineno, value
+            for value in _decoded(raw, f"{path}:{lineno}", ParseError):
+                try:
+                    row = build(value)
+                except (LungmixError, KeyError, TypeError) as exc:
+                    raise ParseError(f"{path}:{lineno}: bad row: {exc}") from exc
+                yield lineno, row
+
+
+def _decoded(raw: bytes, where: str, error: type[LungmixError]) -> list:
+    """[the value the UTF-8 JSON bytes `raw` hold], or [] for whitespace alone
+    (NBSP included): the one JSON decoder. It raises `error` naming `where`."""
+    try:
+        text = raw.decode("utf-8")
+        return [json.loads(text)] if text.strip() else []
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, an int too long, too deep
+        raise error(f"{where}: not valid UTF-8 JSON: {exc}") from exc
 
 
 def resolve_audio_path(record: RecordManifest, manifest_path) -> Path:

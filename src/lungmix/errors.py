@@ -7,6 +7,7 @@ Every error carries a ``category`` used by the CLI to pick its exit code:
 
 import sys
 from dataclasses import fields
+from decimal import Decimal
 from functools import lru_cache
 from numbers import Integral, Real
 from types import UnionType
@@ -71,11 +72,30 @@ def check_value(name: str, annotation, value) -> None:
     "must be finite" for a number of the right type, else "must be <type>"."""
     typed = _typed(annotation, value)
     if typed is None:
-        raise InvalidConfig(f"{name} must be finite, got {value}")
+        raise InvalidConfig(f"{name} must be finite, got {_shown(value, str)}")
     if not typed:
         values = _kinds(annotation)[2]
         kind = f"one of {values}" if values else getattr(annotation, "__name__", annotation)
-        raise InvalidConfig(f"{name} must be {kind}, got {value!r}")
+        raise InvalidConfig(f"{name} must be {kind}, got {_shown(value, repr)}")
+
+
+def _shown(value, show) -> str:
+    """`show(value)`, or, where `value` is or holds an int of more digits than
+    Python prints (sys.get_int_max_str_digits()), the longest one's count."""
+    try:
+        return show(value)
+    except ValueError:
+        held = "" if isinstance(value, Integral) else f"a {type(value).__name__} holding "
+        return f"{held}an int of {_digits(value)} digits"
+
+
+def _digits(value) -> int:
+    """The most digits of an int in `value` or in the containers it holds."""
+    if isinstance(value, dict):
+        value = [*value.items()]
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return max(map(_digits, value), default=0)
+    return Decimal(int(value)).adjusted() + 1 if isinstance(value, Integral) else 0
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from lungmix import cli
 from lungmix.audio_io import read_spectrogram, read_wav, write_wav
 from lungmix.augment import AugmentPlan
 from lungmix.cli import EXIT_CODES, build_parser, main
+from lungmix.dataset import load_manifest
 from lungmix.errors import InvalidConfig, LungmixError, NumericalError
 from lungmix.masks import MixParams
 from lungmix.pipeline import PipelineConfig, Spectrogram, Waveform
@@ -292,7 +293,7 @@ def eval_second_line(line: bytes):
         err = io.StringIO()
         with redirect_stderr(err):
             rc = main(["eval", "--predictions", str(preds), "--out", str(tmp_path / "o")])
-        return rc, f"{preds}:2:" in err.getvalue(), (tmp_path / "o").exists()
+        return rc, err.getvalue().count(f"{preds}:2:") == 1, (tmp_path / "o").exists()
 
     return run
 
@@ -420,7 +421,7 @@ def broken_copy(edit):
         err = io.StringIO()
         with redirect_stderr(err):
             rc = augment_lungmix(broken, tmp_path / "o")
-        return rc, where in err.getvalue(), (tmp_path / "o").exists()
+        return rc, err.getvalue().count(where) == 1, (tmp_path / "o").exists()
 
     return run
 
@@ -438,6 +439,9 @@ def manifest_line(edit):
         return f"{manifest}:2:"
 
     return broken_copy(damage)
+
+
+LONG_INT = b"1" + b"0" * 4999  # more digits than Python reads as an int by default
 
 
 def huge_fmt_chunk(broken):
@@ -736,6 +740,16 @@ FAULTS = [
         eval_second_line(b"[" * 100_000), (3, True, False), id="eval-predictions-nested-too-deep"
     ),
     pytest.param(
+        manifest_line(lambda rec: json.dumps({**rec, "segment": [0, 0]}).encode().replace(
+            b"[0, 0]", b"[0, " + LONG_INT + b"]"
+        )),
+        (3, True, False), id="manifest-line-integer-too-long",
+    ),
+    pytest.param(
+        eval_second_line(b'{"true": "normal", "predicted": "normal", "n": ' + LONG_INT + b"}"),
+        (3, True, False), id="eval-predictions-integer-too-long",
+    ),
+    pytest.param(
         manifest_line(lambda rec: {**rec, "events": "abc"}), (3, True, False),
         id="manifest-events-string",
     ),
@@ -757,6 +771,25 @@ FAULTS = [
 @pytest.mark.parametrize(("run", "expected"), FAULTS)
 def test_fault_outcomes(corpus, tmp_path, run, expected):
     assert run(corpus, tmp_path) == expected
+
+
+def test_blank_lines_hold_no_row(corpus, tmp_path):
+    """Blank, whitespace-only and NBSP-only lines are skipped by load_manifest and by eval."""
+    blanks = b"\n \t\r\n\xc2\xa0\n\xc2\xa0 \xe3\x80\x80\n"
+    spaced = tmp_path / "spaced"
+    shutil.copytree(corpus, spaced)
+    lines = (corpus / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    (spaced / "corpus.jsonl").write_bytes(blanks + blanks.join(lines) + blanks)
+    assert load_manifest(spaced / "corpus.jsonl") == load_manifest(corpus / "corpus.jsonl")
+
+    rows = [b'{"true": "%s", "predicted": "normal"}\n' % c.encode() for c in ("normal", "wheeze")]
+    reports = []
+    for name, text in (("plain", b"".join(rows)), ("spaced", blanks + blanks.join(rows) + blanks)):
+        (tmp_path / f"{name}.jsonl").write_bytes(text)
+        out = tmp_path / f"{name}.json"
+        assert main(["eval", "--predictions", str(tmp_path / f"{name}.jsonl"), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1] and sum(reports[0]["totals"].values()) == 2
 
 
 # dests that fill no config field; any other option's dest must be a field

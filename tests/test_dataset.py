@@ -88,6 +88,7 @@ class TestAlignLabel:
         pytest.param(lambda path: path.write_text("{broken"), id="not-json"),
         pytest.param(lambda path: path.write_text("[" * 100_000), id="nested-too-deep"),
         pytest.param(lambda path: path.write_text("[1]"), id="not-an-object"),
+        pytest.param(lambda path: path.write_text('{"a": 1' + "0" * 4999 + "}"), id="integer-too-long"),
     ],
 )
 def test_read_json_failures_are_config_errors_naming_the_file(tmp_path, make):
@@ -351,9 +352,9 @@ class TestRecordValidation:
     @pytest.mark.parametrize(
         "segment",
         [(0, float("inf")), (float("nan"), 1.0), (True, 2), (0, False), ("a", "b"), (0, None),
-         (0, 10**400)],
+         (0, 10**400), (10**5000, 1.0)],
         ids=["infinite-end", "nan-start", "bool-start", "bool-end", "strings", "none-end",
-             "int-too-large-end"],
+             "int-too-large-end", "int-too-long-to-print-start"],
     )
     def test_segment_bounds_are_finite_seconds(self, segment):
         with pytest.raises(InvalidConfig, match="segment"):

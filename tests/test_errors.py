@@ -1,10 +1,10 @@
-"""`errors.fits`: the one check of a field's type and finiteness, at every
+"""`errors.fits` and `errors.check_value`: the one check of a field's type and finiteness, at every
 depth of the annotations the dataclasses use."""
 
 import numpy as np
 import pytest
 
-from lungmix.errors import fits
+from lungmix.errors import InvalidConfig, check_value, fits
 
 HUGE = 10**400  # an int too large for a float
 MASKS = tuple[np.ndarray, np.ndarray] | None
@@ -37,3 +37,21 @@ EVENTS = list[tuple[float, float, str]]
 )
 def test_fits(annotation, value, expected):
     assert fits(annotation, value) == expected
+
+
+LONG = 10**5000  # more digits than Python prints
+
+
+@pytest.mark.parametrize(
+    ("annotation", "value", "message"),
+    [
+        pytest.param(int, LONG, "x must be finite, got an int of 5001 digits", id="int"),
+        pytest.param(EVENTS, [(0.1, LONG, "c")], "got a list holding an int of 5001 digits", id="list"),
+        pytest.param(str, {"a": -LONG}, "got a dict holding an int of 5001 digits", id="dict"),
+        pytest.param(int, (1, HUGE), f"x must be int, got {(1, HUGE)!r}", id="printable"),
+    ],
+)
+def test_check_value_never_fails_to_show_what_it_refuses(annotation, value, message):
+    with pytest.raises(InvalidConfig) as caught:
+        check_value("x", annotation, value)
+    assert str(caught.value).endswith(message)
