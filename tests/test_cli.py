@@ -740,9 +740,7 @@ FAULTS = [
         eval_second_line(b"[" * 100_000), (3, True, False), id="eval-predictions-nested-too-deep"
     ),
     pytest.param(
-        manifest_line(lambda rec: json.dumps({**rec, "segment": [0, 0]}).encode().replace(
-            b"[0, 0]", b"[0, " + LONG_INT + b"]"
-        )),
+        manifest_line(lambda rec: json.dumps(rec).encode()[:-1] + b', "n": ' + LONG_INT + b"}"),
         (3, True, False), id="manifest-line-integer-too-long",
     ),
     pytest.param(
