@@ -14,6 +14,9 @@ from scipy.io import wavfile
 from .errors import EmptyAudio, MissingAudio, NumericalError, ParseError
 from .pipeline import Spectrogram, Waveform
 
+# samples per block of the WAV encode, however long the waveform
+ENCODE_BLOCK = 1 << 14
+
 
 def read_wav(path) -> Waveform:
     path = Path(path)
@@ -42,13 +45,21 @@ def read_wav(path) -> Waveform:
 
 def write_wav(path, w: Waveform) -> None:
     """Write 16-bit PCM: samples are scaled by 2**15, rounded half to even and
-    clipped to [-32768, 32767], so values beyond [-1, 1] saturate."""
-    # scaling by a power of two is exact, so this matches clip -> round -> clip;
-    # a sample past 2**1009 scales to inf, which clips like any other
-    with np.errstate(over="ignore"):
-        pcm = np.rint(w.samples * 32768.0)
-    np.clip(pcm, -32768, 32767, out=pcm)
-    wavfile.write(Path(path), w.sample_rate, pcm.astype(np.int16))
+    clipped to [-32768, 32767], so values beyond [-1, 1] saturate. They are
+    encoded `ENCODE_BLOCK` at a time straight into the int16 array."""
+    x = w.samples
+    pcm = np.empty(x.size, np.int16)
+    buf = np.empty(min(ENCODE_BLOCK, x.size))
+    for start in range(0, x.size, ENCODE_BLOCK):
+        b = buf[: x.size - start]
+        # scaling by a power of two is exact, so this matches clip -> round -> clip;
+        # a sample past 2**1009 scales to inf, which clips like any other
+        with np.errstate(over="ignore"):
+            np.multiply(x[start : start + b.size], 32768.0, out=b)
+        np.rint(b, out=b)
+        np.clip(b, -32768, 32767, out=b)
+        pcm[start : start + b.size] = b
+    wavfile.write(Path(path), w.sample_rate, pcm)
 
 
 def write_spectrogram(path, s: Spectrogram) -> None:

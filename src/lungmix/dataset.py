@@ -327,7 +327,8 @@ def pair_records(
     """Draw mixing pairs from the train split only.
 
     uniform: any two distinct records; cross-class: unified labels must
-    differ (rejection sampled, bounded).
+    differ (rejection sampled: with two classes present, each draw is
+    cross-class with a fixed positive chance, so the loop ends).
     """
     train = [r for r in records if r.split == "train"]
     if len(train) < 2:
@@ -339,13 +340,9 @@ def pair_records(
         if len(labels) < 2:
             raise InvalidConfig("cross-class pairing needs at least two classes")
     pairs = []
-    for _ in range(n_pairs):
-        for _attempt in range(10000):
-            i, j = rng.choice(len(train), size=2, replace=False)
-            a, b = train[int(i)], train[int(j)]
-            if pairing == "uniform" or a.label_unified != b.label_unified:
-                pairs.append((a, b))
-                break
-        else:
-            raise InvalidConfig("could not draw a valid pair")
+    while len(pairs) < n_pairs:
+        i, j = rng.choice(len(train), size=2, replace=False)
+        a, b = train[int(i)], train[int(j)]
+        if pairing == "uniform" or a.label_unified != b.label_unified:
+            pairs.append((a, b))
     return pairs

@@ -3,7 +3,11 @@
 Every strategy is a kernel `(a, b, lam, rng, params) -> (audio, lam_eff)`:
 `lungmix_kernel` blends two waveforms through the three-valued mask built
 from their loudness outliers and a Bernoulli mask; `mixup_kernel`,
-`cutmix_kernel` and `patchmix` are the reference baselines. `mix` is the one
+`cutmix_kernel` and `patchmix` are the reference baselines. The three
+waveform kernels read each source as `pipeline.placed` lays it out (rolled,
+then padded to the longer source's length with noise) through
+`pipeline.placed_span`, a span at a time, and write straight into
+their output, so none copies a source or mask whole. `mix` is the one
 entry point: it draws lambda, runs the kernel, resolves the label under the
 request's interpolation mode and records provenance. Everything is a pure
 function of the request, so identical requests regenerate bit-identical output.
@@ -17,7 +21,7 @@ import numpy as np
 from .errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch, check_fields
 from .labels import MODES, LabelVector, SoftTriple, interpolate_label
 from .masks import MixMask, MixParams, loudness_mask, sample_lambda
-from .pipeline import Spectrogram, Waveform, placed
+from .pipeline import Spectrogram, Waveform, padding, placed_span
 from .rng import derive_rng
 
 STRATEGIES = ("lungmix", "mixup", "cutmix", "patchmix")
@@ -150,13 +154,14 @@ def apply_mix_mask(a: Waveform, b: Waveform, mask: MixMask) -> Waveform:
     return Waveform(m * a.samples + (1.0 - m) * b.samples, a.sample_rate)
 
 
-def _pad_pair(
+def _sides(
     a: Waveform, b: Waveform, rng: np.random.Generator, offsets: tuple[int, int] = (0, 0)
-) -> tuple[np.ndarray, np.ndarray]:
-    """The samples of both sources rolled by `offsets`, the shorter one padded
-    to the longer one's length with `placed`'s noise (a draws first)."""
+) -> tuple[int, tuple[tuple, tuple]]:
+    """The pair's length and, per source, what `placed_span` reads of it
+    placed at that length: its samples, its padding noise (a draws first)
+    and its roll offset."""
     n = max(len(a), len(b))
-    return tuple(placed(w.samples, n, rng, k) for w, k in zip((a, b), offsets))
+    return n, tuple((w.samples, padding(len(w), n, rng), k) for w, k in zip((a, b), offsets))
 
 
 def _lungmix_pass(
@@ -164,38 +169,44 @@ def _lungmix_pass(
     loudness: tuple[np.ndarray, np.ndarray] | None, roll: tuple[str, int] | None, block: int,
 ) -> tuple[np.ndarray, ...]:
     """The lungmix kernel in one pass: the placed sources, their loudness
-    masks, the Bernoulli mask, the mix mask and the blend, as arrays.
+    masks, the Bernoulli mask and the mix mask of the last block, and the
+    blend, as arrays.
 
     `roll` (side, offset) rolls a source with its loudness mask, computed on
     the unpadded source unless `loudness` holds both; padding is never loud.
-    Each placed source is written once. Per sample the masks and blend do
-    `combine_masks`'s and `apply_mix_mask`'s operations, `block` samples at a
-    time into the output; only a `block` covering the pair keeps them whole.
+    Per sample the masks and blend do `combine_masks`'s and
+    `apply_mix_mask`'s operations, `block` samples at a time into the output,
+    reading each block of the placed sources and masks through `placed_span`;
+    only a `block` covering the pair keeps them whole.
     """
     loudness = (loudness_mask(a), loudness_mask(b)) if loudness is None else loudness
-    n = max(len(a), len(b))
     offsets = tuple(roll[1] if roll and roll[0] == side else 0 for side in "ab")
-    x_a, x_b = _pad_pair(a, b, rng, offsets)
-    mask_a, mask_b = (placed(m, n, offset=k) for m, k in zip(loudness, offsets))
-    union = mask_a | mask_b
-    cut = 1.0 - params.random_density
-    rand = np.empty(min(block, n), dtype=bool)
-    values, rest = np.empty(rand.size), np.empty(rand.size)
+    n, (side_a, side_b) = _sides(a, b, rng, offsets)
+    loud_a, loud_b = ((m, None, k) for m, k in zip(loudness, offsets))
+    size = min(block, n)
+    buf_a, buf_b, values, rest = (np.empty(size) for _ in range(4))
+    mask_a, mask_b, union, rand = (np.empty(size, dtype=bool) for _ in range(4))
     out = np.empty(n)
-    for start in range(0, n, block):
-        here = slice(start, start + block)
-        r, m, u = rand[: n - start], values[: n - start], rest[: n - start]
+    cut = 1.0 - params.random_density
+    for start in range(0, max(n, 1), block):  # an empty pair runs one empty block
+        k = min(block, n - start)
+        r, m, u, un = rand[:k], values[:k], rest[:k], union[:k]
         np.greater(rng.random(out=u), cut, out=r)
+        m_a = placed_span(*loud_a, start, mask_a[:k])
+        m_b = placed_span(*loud_b, start, mask_b[:k])
+        np.bitwise_or(m_a, m_b, out=un)
         if params.semantics == "max":
-            np.maximum(np.multiply(union[here], lam, out=m), r, out=m)
+            np.maximum(np.multiply(un, lam, out=m), r, out=m)
         else:
             np.copyto(m, r)
-            np.copyto(m, lam, where=union[here])
-        np.multiply(m, x_a[here], out=out[here])
+            np.copyto(m, lam, where=un)
+        x_a = placed_span(*side_a, start, buf_a[:k])
+        x_b = placed_span(*side_b, start, buf_b[:k])
+        np.multiply(m, x_a, out=out[start : start + k])
         np.subtract(1.0, m, out=u)
-        u *= x_b[here]
-        out[here] += u
-    return x_a, x_b, mask_a, mask_b, rand, values, out
+        u *= x_b
+        out[start : start + k] += u
+    return x_a, x_b, m_a, m_b, r, m, out
 
 
 def lungmix_kernel(
@@ -216,9 +227,15 @@ def lungmix_kernel(
 def mixup_kernel(
     a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams
 ) -> tuple[Waveform, float]:
-    """Convex combination lam * a + (1 - lam) * b."""
-    x_a, x_b = _pad_pair(a, b, rng)
-    return Waveform(lam * x_a + (1.0 - lam) * x_b, a.sample_rate), lam
+    """Convex combination lam * a + (1 - lam) * b, `MIX_BLOCK` samples at a
+    time into the output."""
+    n, (side_a, side_b) = _sides(a, b, rng)
+    buf, out = np.empty(min(MIX_BLOCK, n)), np.empty(n)
+    for start in range(0, n, MIX_BLOCK):
+        here, t = out[start : start + MIX_BLOCK], buf[: n - start]
+        np.multiply(lam, placed_span(*side_a, start, here), out=here)
+        here += np.multiply(1.0 - lam, placed_span(*side_b, start, t), out=t)
+    return Waveform(out, a.sample_rate), lam
 
 
 def _share(lam: float, n: int) -> tuple[int, float]:
@@ -236,12 +253,15 @@ def cutmix_kernel(
     The cut spans round((1 - lam) * len) samples at a seeded offset; the
     effective coefficient is the exact surviving fraction of a.
     """
-    x_a, x_b = _pad_pair(a, b, rng)
-    n = len(x_a)
+    n, sides = _sides(a, b, rng)
     seg, kept = _share(lam, n)
     offset = int(rng.integers(0, n - seg + 1))
-    out = x_a.copy()
-    out[offset : offset + seg] = x_b[offset : offset + seg]
+    out = np.empty(n)
+    # a's placed samples, then b's over the cut, each written once into `out`
+    for side, start, dest in zip(sides, (0, offset), (out, out[offset : offset + seg])):
+        span = placed_span(*side, start, dest)
+        if span is not dest:
+            dest[:] = span
     return Waveform(out, a.sample_rate), kept
 
 

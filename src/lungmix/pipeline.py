@@ -187,24 +187,44 @@ def bandpass(w: Waveform, low: float, high: float) -> Waveform:
     # each end of `x` reflected through its end sample
     ext = np.concatenate((2 * x[0] - x[edge:0:-1], x, 2 * x[-1] - x[-2 : -edge - 2 : -1]))
     y, _ = sosfilt(sos, ext, zi=zi * ext[:1])
+    del ext  # freed before the backward pass, which filters a copy of `y`
     y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1:])
     return Waveform(y[::-1][edge : edge + x.size], w.sample_rate)
+
+
+def padding(size: int, n: int, rng: np.random.Generator | None) -> np.ndarray | None:
+    """The samples `placed` follows a source of `size` samples with up to
+    length `n`: uniform noise in [-PAD_EPS, PAD_EPS] from `rng`, drawn only
+    when the source is shorter, or None, which stands for zeros."""
+    return None if rng is None or size >= n else rng.uniform(-PAD_EPS, PAD_EPS, n - size)
+
+
+def placed_span(
+    x: np.ndarray, pad: np.ndarray | None, offset: int, start: int, buf: np.ndarray
+) -> np.ndarray:
+    """Samples `start : start + buf.size` of `np.roll(x, offset)` followed by
+    `pad` (zeros when None): a view of `x` or `pad` when one piece of them
+    covers the span, otherwise written into `buf`, which is returned."""
+    stop = start + buf.size
+    pieces = ((0, x[x.size - offset :]), (offset, x[: x.size - offset]), (x.size, pad))
+    for lo, piece in pieces:
+        if piece is not None and lo <= start and stop <= lo + piece.size:
+            return piece[start - lo : stop - lo]
+    for lo, piece in pieces:
+        begin, end = max(lo, start), stop if piece is None else min(lo + piece.size, stop)
+        if begin < end:
+            buf[begin - start : end - start] = 0 if piece is None else piece[begin - lo : end - lo]
+    return buf
 
 
 def placed(
     x: np.ndarray, n: int, rng: np.random.Generator | None = None, offset: int = 0
 ) -> np.ndarray:
     """`np.roll(x, offset)` followed up to length `n` (at least `x.size`) by
-    uniform noise in [-PAD_EPS, PAD_EPS] from `rng`, drawn only when `x` is
-    shorter, or by zeros without one; written once, `x` itself if unchanged."""
+    `padding`; written once, `x` itself if unchanged."""
     if offset == 0 and x.size == n:
         return x
-    out = np.empty(n, x.dtype)
-    out[offset : x.size] = x[: x.size - offset]
-    out[:offset] = x[x.size - offset :]
-    if x.size < n:
-        out[x.size :] = 0 if rng is None else rng.uniform(-PAD_EPS, PAD_EPS, n - x.size)
-    return out
+    return placed_span(x, padding(x.size, n, rng), offset, 0, np.empty(n, x.dtype))
 
 
 def fit_length(

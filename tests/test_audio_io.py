@@ -1,6 +1,7 @@
 """WAV and spectrogram container round-trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from lungmix.audio_io import (
+    ENCODE_BLOCK,
     read_spectrogram,
     read_wav,
     write_spectrogram,
@@ -45,6 +47,37 @@ def test_pcm_encoding_matches_clip_round_clip(tmp_path, value):
     written = wavfile.read(path)[1]
     assert written.dtype == np.int16
     assert written.tobytes() == expected.astype(np.int16).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n", [1, ENCODE_BLOCK - 1, ENCODE_BLOCK, ENCODE_BLOCK + 1, 3 * ENCODE_BLOCK + 7]
+)
+def test_blocked_encode_matches_a_whole_array_encode(tmp_path, n):
+    """Block by block, the encode gives the bytes of one multiply, `rint`,
+    clip and cast over the whole array, for samples past +-1 and past
+    2**1009 (which scale to inf) too."""
+    x = np.random.default_rng(n).uniform(-1.5, 1.5, n)
+    specials = [2.0**1010, -(2.0**1010), 1e308, -1e308, 1 + 1e-9, -1 - 1e-9, 0.0, -0.0,
+                0.5 / 32768, -0.5 / 32768, 1.5 / 32768, -1.5 / 32768]
+    x[:: max(n // len(specials), 1)][: len(specials)] = specials[: n]
+    write_wav(tmp_path / "t.wav", Waveform(x, 16000))
+    with np.errstate(over="ignore"):
+        expected = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
+    assert wavfile.read(tmp_path / "t.wav")[1].tobytes() == expected.tobytes()
+
+
+def test_write_wav_peak_memory(tmp_path):
+    """Encoding a 9 s record allocates less than its float64 samples: the
+    int16 output and one block. A whole-array encode peaked at twice them."""
+    w = Waveform(np.random.default_rng(3).uniform(-1.2, 1.2, 9 * 16000), 16000)
+    write_wav(tmp_path / "warm.wav", w)
+    tracemalloc.start()
+    try:
+        write_wav(tmp_path / "t.wav", w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.samples.nbytes
 
 
 def test_reads_float32_wav(tmp_path):

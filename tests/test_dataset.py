@@ -26,6 +26,7 @@ from lungmix.labels import FOUR_CLASS
 from lungmix.masks import MixParams
 from lungmix.mixing import MixRequest, lungmix
 from lungmix.pipeline import Waveform
+from lungmix.rng import derive_rng
 
 
 def record(i, label="normal", split="train", path="x.wav"):
@@ -334,6 +335,15 @@ class TestPairing:
         recs = [record(0), record(1)]
         with pytest.raises(InvalidConfig):
             pair_records(recs, 5, "cross-class", np.random.default_rng(7))
+
+    def test_cross_class_pairing_draws_until_a_rare_class_pairs(self):
+        """One wheeze among 20000 normal records: about one draw in 10000 is
+        cross-class, and each pair is drawn until it is one. A cap of 10000
+        draws per pair refused this corpus under `augment`'s seed-0 stream."""
+        recs = [record(i) for i in range(20000)] + [record(20000, label="wheeze")]
+        pairs = pair_records(recs, 5, "cross-class", derive_rng(0, "pairing"))
+        assert len(pairs) == 5
+        assert all("wheeze" in (a.label_unified, b.label_unified) for a, b in pairs)
 
     def test_too_few_records_fails(self):
         with pytest.raises(InvalidConfig):

@@ -27,6 +27,7 @@ from lungmix.mixing import (
     lungmix_kernel,
     lungmix_trace,
     mix,
+    mixup_kernel,
     shift_roll_pair,
     vanilla_mixup,
 )
@@ -316,6 +317,43 @@ def test_blocked_kernel_matches_the_reference(semantics, lam, density):
                 got, _ = lungmix_kernel(a, b, lam, np.random.default_rng(n), params, roll=roll)
                 want = reference_lungmix(a, b, lam, np.random.default_rng(n), params, roll)
                 assert got.samples.tobytes() == want.samples.tobytes(), (n, len_a, len_b, roll)
+
+
+def reference_mixup(a, b, lam, rng):
+    """`lam * a + (1 - lam) * b` over whole `noise_padded` arrays."""
+    n = max(len(a), len(b))
+    a, b = (noise_padded(w, n, rng).samples for w in (a, b))
+    return lam * a + (1.0 - lam) * b
+
+
+def reference_cutmix(a, b, lam, rng):
+    """A copy of the whole padded a with the padded b over the cut, drawn
+    after the padding as `cutmix_kernel` draws it."""
+    n = max(len(a), len(b))
+    a, b = (noise_padded(w, n, rng).samples for w in (a, b))
+    seg = int(round((1.0 - lam) * n))
+    offset = int(rng.integers(0, n - seg + 1))
+    out = a.copy()
+    out[offset : offset + seg] = b[offset : offset + seg]
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.37, 0.9, 1.0])
+@pytest.mark.parametrize(
+    ("kernel", "reference"),
+    [(mixup_kernel, reference_mixup), (cutmix_kernel, reference_cutmix)],
+    ids=["mixup", "cutmix"],
+)
+def test_blocked_baselines_match_whole_array_references(kernel, reference, lam):
+    """mixup and cutmix, reading their placed sources a span at a time, give
+    the bytes of whole padded arrays at and around block boundaries, whichever
+    side is shorter, and keep the signs of zeros."""
+    for n in (MIX_BLOCK - 1, MIX_BLOCK, MIX_BLOCK + 1, 3 * MIX_BLOCK + 7):
+        for len_a, len_b in ((n // 2 + 1, n), (n, n // 2 + 1), (n, n)):
+            a, b = wave_with_zeros(len_a, len_a), wave_with_zeros(len_b + 1, len_b)
+            got, _ = kernel(a, b, lam, np.random.default_rng(n), MixParams())
+            want = reference(a, b, lam, np.random.default_rng(n))
+            assert got.samples.tobytes() == want.tobytes(), (n, len_a, len_b)
 
 
 class TestVanillaMixup:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, resample_poly, sosfiltfilt
 
@@ -26,7 +26,9 @@ from lungmix.pipeline import (
     normalize_spectrogram,
     padded_spectrogram,
     padding_split,
+    padding,
     placed,
+    placed_span,
     preprocess,
     resample,
 )
@@ -154,6 +156,21 @@ class TestBandpass:
         sos = butter(4, [50.0, 1500.0], btype="bandpass", fs=rate, output="sos")
         expected = sosfiltfilt(sos, x, padlen=min(27, x.size - 1))
         assert np.array_equal(bandpass(Waveform(x, rate), 50.0, 1500.0).samples, expected)
+
+    @pytest.mark.parametrize(("seconds", "rate"), [(9, 44100), (12, 16000)])
+    def test_peak_allocation_under_two_and_a_half_inputs(self, rng, seconds, rate):
+        """The reflected input is released before the backward pass, so it
+        and the two passes' outputs are never alive together: they peaked
+        at 3.0 times the input, the two outputs alone at 2.0 times."""
+        w = Waveform(rng.standard_normal(seconds * rate) * 0.1, rate)
+        bandpass(w, 50.0, 1500.0)  # solves the design's initial state
+        tracemalloc.start()
+        try:
+            bandpass(w, 50.0, 1500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * w.samples.nbytes
 
     def test_filter_state_solved_once_per_design(self, rng, monkeypatch):
         solved = []
@@ -297,6 +314,32 @@ class TestPlaced:
         assert placed(x, 5, rng) is x
         assert placed(x, 5, rng, 2).tolist() == np.roll(x, 2).tolist()
         assert rng.random() == np.random.default_rng(0).random()
+
+
+    @settings(max_examples=300)
+    @given(
+        size=st.integers(min_value=1, max_value=12),
+        extra=st.integers(min_value=0, max_value=12),
+        noise=st.booleans(),
+        data=st.data(),
+    )
+    def test_span_is_the_slice_of_the_whole_layout(self, size, extra, noise, data):
+        """Any nonempty span of `placed_span` is that slice of the rolled source and
+        its padding (zeros for None), a view when one piece covers it and
+        written into the buffer otherwise."""
+        n = size + extra
+        offset = data.draw(st.integers(min_value=0, max_value=size - 1))
+        start = data.draw(st.integers(min_value=0, max_value=n - 1))
+        stop = data.draw(st.integers(min_value=start + 1, max_value=n))
+        x = np.arange(1.0, size + 1)
+        pad = padding(size, n, np.random.default_rng(5) if noise else None)
+        whole = np.concatenate([np.roll(x, offset), np.zeros(extra) if pad is None else pad])
+        buf = np.full(stop - start, np.nan)
+        got = placed_span(x, pad, offset, start, buf)
+        assert got.tobytes() == whole[start:stop].tobytes()
+        bounds = [0, offset, size] + ([n] if pad is not None else [])
+        one_piece = any(lo <= start and stop <= hi for lo, hi in zip(bounds, bounds[1:]))
+        assert (got is buf) == (not one_piece)
 
 
 class TestMelSpectrogram:
