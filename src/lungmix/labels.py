@@ -32,11 +32,6 @@ class LabelSchema:
             raise InvalidConfig("normal class name collides with an abnormal name")
 
     @property
-    def n_classes(self) -> int:
-        """Base classes: normal plus the abnormal ones."""
-        return len(self.abnormal_names) + 1
-
-    @property
     def n_categories(self) -> int:
         """Powerset categories, one per abnormal-class subset (empty = normal)."""
         return 2 ** len(self.abnormal_names)

@@ -9,8 +9,10 @@ then padded to the longer source's length with noise) through
 `pipeline.placed_span`, a span at a time, and write straight into
 their output, so none copies a source or mask whole. `mix` is the one
 entry point: it draws lambda, runs the kernel, resolves the label under the
-request's interpolation mode and records provenance. Everything is a pure
-function of the request, so identical requests regenerate bit-identical output.
+request's interpolation mode and records provenance; `lungmix_trace`
+reaches lungmix's bytes by the reference steps instead, keeping every mask.
+Everything is a pure function of the request, so identical requests
+regenerate bit-identical output.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ import numpy as np
 
 from .errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch, check_fields
 from .labels import MODES, LabelVector, SoftTriple, interpolate_label
-from .masks import MixMask, MixParams, loudness_mask, sample_lambda
-from .pipeline import Spectrogram, Waveform, padding, placed_span
+from .masks import MixMask, MixParams, combine_masks, loudness_mask, random_mask, sample_lambda
+from .pipeline import Spectrogram, Waveform, padding, placed, placed_span
 from .rng import derive_rng
 
 STRATEGIES = ("lungmix", "mixup", "cutmix", "patchmix")
@@ -164,32 +166,36 @@ def _sides(
     return n, tuple((w.samples, padding(len(w), n, rng), k) for w, k in zip((a, b), offsets))
 
 
-def _lungmix_pass(
-    a: Waveform, b: Waveform, lam: float, rng: np.random.Generator, params: MixParams,
-    loudness: tuple[np.ndarray, np.ndarray] | None, roll: tuple[str, int] | None, block: int,
-) -> tuple[np.ndarray, ...]:
-    """The lungmix kernel in one pass: the placed sources, their loudness
-    masks, the Bernoulli mask and the mix mask of the last block, and the
-    blend, as arrays.
+def lungmix_kernel(
+    a: Waveform,
+    b: Waveform,
+    lam: float,
+    rng: np.random.Generator,
+    params: MixParams,
+    loudness: tuple[np.ndarray, np.ndarray] | None = None,
+    roll: tuple[str, int] | None = None,
+) -> tuple[Waveform, float]:
+    """Mask-based blend: loud events of either source blend, the rest is split
+    between the sources by a Bernoulli mask.
 
     `roll` (side, offset) rolls a source with its loudness mask, computed on
     the unpadded source unless `loudness` holds both; padding is never loud.
     Per sample the masks and blend do `combine_masks`'s and
-    `apply_mix_mask`'s operations, `block` samples at a time into the output,
-    reading each block of the placed sources and masks through `placed_span`;
-    only a `block` covering the pair keeps them whole.
+    `apply_mix_mask`'s operations, `MIX_BLOCK` samples at a time into the
+    output, reading each block of the placed sources and masks through
+    `placed_span`.
     """
     loudness = (loudness_mask(a), loudness_mask(b)) if loudness is None else loudness
     offsets = tuple(roll[1] if roll and roll[0] == side else 0 for side in "ab")
     n, (side_a, side_b) = _sides(a, b, rng, offsets)
     loud_a, loud_b = ((m, None, k) for m, k in zip(loudness, offsets))
-    size = min(block, n)
+    size = min(MIX_BLOCK, n)
     buf_a, buf_b, values, rest = (np.empty(size) for _ in range(4))
     mask_a, mask_b, union, rand = (np.empty(size, dtype=bool) for _ in range(4))
     out = np.empty(n)
     cut = 1.0 - params.random_density
-    for start in range(0, max(n, 1), block):  # an empty pair runs one empty block
-        k = min(block, n - start)
+    for start in range(0, n, MIX_BLOCK):
+        k = min(MIX_BLOCK, n - start)
         r, m, u, un = rand[:k], values[:k], rest[:k], union[:k]
         np.greater(rng.random(out=u), cut, out=r)
         m_a = placed_span(*loud_a, start, mask_a[:k])
@@ -206,21 +212,6 @@ def _lungmix_pass(
         np.subtract(1.0, m, out=u)
         u *= x_b
         out[start : start + k] += u
-    return x_a, x_b, m_a, m_b, r, m, out
-
-
-def lungmix_kernel(
-    a: Waveform,
-    b: Waveform,
-    lam: float,
-    rng: np.random.Generator,
-    params: MixParams,
-    loudness: tuple[np.ndarray, np.ndarray] | None = None,
-    roll: tuple[str, int] | None = None,
-) -> tuple[Waveform, float]:
-    """Mask-based blend: loud events of either source blend, the rest is split
-    between the sources by a Bernoulli mask."""
-    out = _lungmix_pass(a, b, lam, rng, params, loudness, roll, MIX_BLOCK)[-1]
     return Waveform(out, a.sample_rate), lam
 
 
@@ -253,13 +244,15 @@ def cutmix_kernel(
     The cut spans round((1 - lam) * len) samples at a seeded offset; the
     effective coefficient is the exact surviving fraction of a.
     """
-    n, sides = _sides(a, b, rng)
+    n, (side_a, side_b) = _sides(a, b, rng)
     seg, kept = _share(lam, n)
     offset = int(rng.integers(0, n - seg + 1))
     out = np.empty(n)
-    # a's placed samples, then b's over the cut, each written once into `out`
-    for side, start, dest in zip(sides, (0, offset), (out, out[offset : offset + seg])):
-        span = placed_span(*side, start, dest)
+    # a's placed samples before and after the cut, b's in it: each sample of `out` written once
+    edges = (0, offset, offset + seg, n)
+    for side, lo, hi in zip((side_a, side_b, side_a), edges, edges[1:]):
+        dest = out[lo:hi]
+        span = placed_span(*side, lo, dest)
         if span is not dest:
             dest[:] = span
     return Waveform(out, a.sample_rate), kept
@@ -360,12 +353,20 @@ vanilla_mixup = mix
 
 
 def lungmix_trace(req: MixRequest) -> LungmixTrace:
-    """Run the lungmix kernel on a request and keep every intermediate mask."""
+    """Build a lungmix request's pair whole from the reference steps, keeping
+    every intermediate mask: `placed` rolls and pads each source (a's noise
+    first) and each loudness mask, then `random_mask`, `combine_masks` and
+    `apply_mix_mask`. The bytes equal `mix`'s, which reaches them blockwise."""
     if req.strategy != "lungmix":
         raise InvalidConfig(f"expected strategy 'lungmix', got {req.strategy!r}")
-    a, b = req.audio_a, req.audio_b
+    a, b, params = req.audio_a, req.audio_b, req.params
     rng, lam, roll = _draws(req)
-    n = max(len(a), len(b), 1)  # one block covering the pair keeps every mask whole
-    x_a, x_b, *masks, values, out = _lungmix_pass(a, b, lam, rng, req.params, req.loudness, roll, n)
-    x_a, x_b, out = (Waveform(x, a.sample_rate) for x in (x_a, x_b, out))
-    return LungmixTrace(x_a, x_b, *masks, MixMask(values, lam), lam, out)
+    loudness = (loudness_mask(a), loudness_mask(b)) if req.loudness is None else req.loudness
+    offsets = tuple(roll[1] if roll and roll[0] == side else 0 for side in "ab")
+    n = max(len(a), len(b))
+    sides = zip((a, b), offsets)
+    x_a, x_b = (Waveform(placed(w.samples, n, rng, k), w.sample_rate) for w, k in sides)
+    mask_a, mask_b = (placed(m, n, offset=k) for m, k in zip(loudness, offsets))
+    rand = random_mask(n, params.random_density, rng)
+    mask = combine_masks(mask_a, mask_b, rand, lam, params.semantics)
+    return LungmixTrace(x_a, x_b, mask_a, mask_b, rand, mask, lam, apply_mix_mask(x_a, x_b, mask))

@@ -86,7 +86,7 @@ class TestPowerset:
 
     def test_four_class_system(self):
         assert FOUR_CLASS.categories() == ("normal", "crackle", "wheeze", "both")
-        assert FOUR_CLASS.n_classes == 3  # normal + 2 abnormal base classes
+        assert FOUR_CLASS.abnormal_names == ("crackle", "wheeze")  # + normal: 3 base classes
 
     def test_empty_bitset_is_normal(self):
         assert LabelVector(0).name == "normal"

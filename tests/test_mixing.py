@@ -1,5 +1,6 @@
 """Mixing strategies: boundary identities, determinism, blend exactness."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lungmix import mixing
 from lungmix.errors import EmptyAudio, InvalidConfig, RateMismatch, ShapeMismatch
 from lungmix.labels import FOUR_CLASS, MODES, SoftTriple
 from lungmix.masks import (
@@ -263,6 +265,33 @@ class TestLungmix:
         assert unrolled.rolled is None
         assert prov == replace(unrolled, rolled=prov.rolled, roll_offset=prov.roll_offset)
 
+    def test_trace_runs_the_reference_steps_and_mix_none_of_them(self, monkeypatch):
+        a, b = noise_wave(48, n=3000), noise_wave(49, n=5000)
+        req = replace(request(a, b, seed=50), roll=True)
+        calls = []
+        for name in ("placed", "random_mask", "combine_masks", "apply_mix_mask"):
+            step = getattr(mixing, name)
+
+            def counted(*args, _name=name, _step=step, **kwargs):
+                calls.append(_name)
+                return _step(*args, **kwargs)
+
+            monkeypatch.setattr(mixing, name, counted)
+        mix(req)
+        assert calls == []
+        lungmix_trace(req)
+        # each source and each loudness mask placed, then the masks and blend once each
+        assert calls == ["placed"] * 4 + ["random_mask", "combine_masks", "apply_mix_mask"]
+
+    def test_tracing_an_empty_pair_is_refused_as_its_random_mask_is(self):
+        """`mix` of two empty sources gives an empty result (see
+        `test_empty_sources_mix_to_an_empty_result`), but the trace draws
+        `random_mask` of length 0, which is refused."""
+        empty = Waveform(np.zeros(0), 16000)
+        req = replace(request(empty, empty, lam=0.3), loudness=(np.zeros(0, bool),) * 2)
+        with pytest.raises(InvalidConfig, match="mask length"):
+            lungmix_trace(req)
+
 
 def wave_with_zeros(seed, n):
     """Noise with loud spikes, and samples of +0.0 and -0.0, whose signs a
@@ -277,7 +306,7 @@ def wave_with_zeros(seed, n):
 def noise_padded(w, n, rng):
     """`w` with its tail padded to `n` samples by uniform noise in
     [-PAD_EPS, PAD_EPS], drawn only when it is shorter; written here rather
-    than taken from `pipeline.placed`, which the kernel itself calls."""
+    than taken from `pipeline.placed`, which `lungmix_trace` itself calls."""
     if len(w) == n:
         return w
     tail = rng.uniform(-PAD_EPS, PAD_EPS, n - len(w))
@@ -317,6 +346,25 @@ def test_blocked_kernel_matches_the_reference(semantics, lam, density):
                 got, _ = lungmix_kernel(a, b, lam, np.random.default_rng(n), params, roll=roll)
                 want = reference_lungmix(a, b, lam, np.random.default_rng(n), params, roll)
                 assert got.samples.tobytes() == want.samples.tobytes(), (n, len_a, len_b, roll)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("semantics", SEMANTICS)
+def test_trace_gives_the_blocked_kernel_bytes(semantics, density):
+    """`lungmix_trace`, which builds the pair whole from the reference steps,
+    and `mix`, which runs the kernel a block at a time, agree byte for byte at
+    and around block boundaries, whichever side is shorter, rolled or not,
+    with loudness masks given or computed, over several seeds."""
+    for n in (MIX_BLOCK - 1, MIX_BLOCK, MIX_BLOCK + 1, 3 * MIX_BLOCK + 7):
+        for len_a, len_b in ((n // 2 + 1, n), (n, n // 2 + 1), (n, n)):
+            a, b = wave_with_zeros(len_a, len_a), wave_with_zeros(len_b + 1, len_b)
+            # a tenth of each source, not just its spikes: not `loudness_mask`'s masks
+            given = tuple(np.abs(w.samples) > 0.09 for w in (a, b))
+            for seed, roll, loudness in itertools.product((0, 1, 2), (False, True), (None, given)):
+                req = request(a, b, seed=seed, random_density=density, semantics=semantics)
+                req = replace(req, roll=roll, loudness=loudness)
+                got, want = mix(req).audio.samples, lungmix_trace(req).mixed.samples
+                assert got.tobytes() == want.tobytes(), (n, len_a, len_b, seed, roll)
 
 
 def reference_mixup(a, b, lam, rng):
